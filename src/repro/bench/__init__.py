@@ -1,50 +1,53 @@
-"""Benchmark harness: workloads + per-figure drivers (§4, §5)."""
+"""Benchmark harness: workloads + per-figure drivers (§4, §5).
 
-from .fft_bench import FftBenchParams, FftBenchResult, run_fft
-from .figures import (FFT_CONFIGS, FIGURES, SERVE_CONFIGS, FigureResult,
-                      ablation_aggregation, ablation_mpi_pp, fft_smoke,
-                      fft_sweep, fig1, fig2, fig3, fig4, fig5, fig6,
-                      fig7, fig8, fig9, fig10, fig11, find_knee,
-                      platform_tables, serve_smoke, serve_sweep,
-                      table_abbreviations)
-from .harness import Measurement, Series, repeat
-from .seeds import derive_seed, repeat_seeds, substream_seeds
-from .serve_bench import ServeBenchParams, ServeBenchResult, run_serve
-from .latency import LatencyParams, LatencyResult, run_latency
-from .message_rate import (MessageRateParams, MessageRateResult,
-                           run_message_rate)
-from .octotiger_bench import OctoTigerBenchParams, run_octotiger
-from .parallel import (ExecutionPolicy, PointTask, ResultCache,
-                       code_fingerprint, evaluate_point, execution,
-                       fft_task, latency_task, message_rate_task,
-                       octotiger_task, run_points, serve_task, set_policy)
-from .perfbench import bench_figures, bench_kernel, run_perf, validate_bench
-from .profiling import format_breakdown, lock_report, runtime_breakdown
-from .sweep import SweepResult, SweepSpec, run_sweep
-from .calibration import check_calibration, format_calibration
-from .validation import CheckResult, checks_for, validate
+Every name below is loaded from its submodule on first access (PEP 562),
+so a message-rate or latency run imports its own driver and not the
+figure, sweep, cache, validation and perf machinery it never calls.
+"""
 
-__all__ = [
-    "FIGURES", "FigureResult",
-    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-    "fig10", "fig11", "ablation_mpi_pp", "ablation_aggregation",
-    "fft_smoke", "fft_sweep", "FFT_CONFIGS",
-    "FftBenchParams", "FftBenchResult", "run_fft", "fft_task",
-    "serve_smoke", "serve_sweep", "find_knee", "SERVE_CONFIGS",
-    "ServeBenchParams", "ServeBenchResult", "run_serve", "serve_task",
-    "table_abbreviations", "platform_tables",
-    "Measurement", "Series", "repeat",
-    "derive_seed", "repeat_seeds", "substream_seeds",
-    "LatencyParams", "LatencyResult", "run_latency",
-    "MessageRateParams", "MessageRateResult", "run_message_rate",
-    "OctoTigerBenchParams", "run_octotiger",
-    "PointTask", "ResultCache", "ExecutionPolicy",
-    "code_fingerprint", "evaluate_point", "execution",
-    "message_rate_task", "latency_task", "octotiger_task",
-    "run_points", "set_policy",
-    "bench_kernel", "bench_figures", "run_perf", "validate_bench",
-    "runtime_breakdown", "format_breakdown", "lock_report",
-    "SweepSpec", "SweepResult", "run_sweep",
-    "validate", "checks_for", "CheckResult",
-    "check_calibration", "format_calibration",
-]
+import importlib
+
+#: submodule -> the names this package re-exports from it
+_SUBMODULES = {
+    "fft_bench": ("FftBenchParams", "FftBenchResult", "run_fft"),
+    "figures": ("FFT_CONFIGS", "FIGURES", "SERVE_CONFIGS", "FigureResult",
+                "ablation_aggregation", "ablation_mpi_pp", "fft_smoke",
+                "fft_sweep", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
+                "fig7", "fig8", "fig9", "fig10", "fig11", "find_knee",
+                "platform_tables", "serve_smoke", "serve_sweep",
+                "table_abbreviations"),
+    "harness": ("Measurement", "Series", "repeat"),
+    "seeds": ("derive_seed", "repeat_seeds", "substream_seeds"),
+    "serve_bench": ("ServeBenchParams", "ServeBenchResult", "run_serve"),
+    "latency": ("LatencyParams", "LatencyResult", "run_latency"),
+    "message_rate": ("MessageRateParams", "MessageRateResult",
+                     "run_message_rate"),
+    "octotiger_bench": ("OctoTigerBenchParams", "run_octotiger"),
+    "parallel": ("ExecutionPolicy", "PointTask", "ResultCache",
+                 "code_fingerprint", "evaluate_point", "execution",
+                 "fft_task", "latency_task", "message_rate_task",
+                 "octotiger_task", "run_points", "serve_task", "set_policy"),
+    "perfbench": ("bench_figures", "bench_kernel", "run_perf",
+                  "validate_bench"),
+    "profiling": ("format_breakdown", "lock_report", "runtime_breakdown"),
+    "sweep": ("SweepResult", "SweepSpec", "run_sweep"),
+    "calibration": ("check_calibration", "format_calibration"),
+    "validation": ("CheckResult", "checks_for", "validate"),
+}
+_HOME = {name: module for module, names in _SUBMODULES.items()
+         for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
-from ..apps.fft import COMPLEX_BYTES, FftConfig, FftDriver
 from ..faults import FaultPlan, RetryPolicy
 from ..flow import FlowControlPolicy
 from ..hpx_rt.platform import EXPANSE, PlatformSpec
@@ -54,6 +53,7 @@ class FftBenchParams:
     @property
     def transpose_msg_bytes(self) -> int:
         """Wire size of one transpose message at this point."""
+        from ..apps.fft import COMPLEX_BYTES
         seg = COMPLEX_BYTES * (self.n2 // self.n_localities)
         if self.fragment:
             return seg
@@ -100,6 +100,7 @@ def run_fft(config: "PPConfig | str", params: FftBenchParams,
             trace: "str | bool | None" = None,
             adapt: Any = None) -> FftBenchResult:
     """One full distributed-FFT run for one configuration."""
+    from ..apps.fft import FftConfig, FftDriver
     if isinstance(config, str):
         config = PPConfig.parse(config)
     p = params

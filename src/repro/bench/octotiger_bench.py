@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
-from ..apps.octotiger import OctoTigerConfig, OctoTigerDriver
 from ..hpx_rt.platform import EXPANSE, PlatformSpec
 from ..parcelport import PPConfig
 from .. import make_runtime
@@ -29,6 +28,7 @@ def run_octotiger(config: "PPConfig | str", params: OctoTigerBenchParams,
                   seed: int = 0xC0FFEE) -> Dict[str, float]:
     """One Octo-Tiger run; returns the Fig 10/11 metric (steps/s) and
     structure counters."""
+    from ..apps.octotiger import OctoTigerConfig, OctoTigerDriver
     from ..sim.shard.context import ShardingUnsupported, current_context
     ctx = current_context()
     if ctx is not None and ctx.n_shards > 1:

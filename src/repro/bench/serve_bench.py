@@ -13,14 +13,16 @@ parcelport config family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from ..apps.serve import ServeConfig, ServeDriver
 from ..faults import FaultPlan, RetryPolicy
 from ..flow import OVERFLOW_SHED, FlowControlPolicy
 from ..hpx_rt.platform import EXPANSE, PlatformSpec
 from ..parcelport import PPConfig
 from .. import make_runtime
+
+if TYPE_CHECKING:
+    from ..apps.serve import ServeConfig
 
 __all__ = ["ServeBenchParams", "ServeBenchResult", "run_serve"]
 
@@ -58,6 +60,7 @@ class ServeBenchParams:
                                  overflow=OVERFLOW_SHED)
 
     def serve_config(self) -> ServeConfig:
+        from ..apps.serve import ServeConfig
         return ServeConfig(n_clients=self.n_clients,
                            offered_kps=self.offered_kps,
                            horizon_us=self.horizon_us,
@@ -126,6 +129,7 @@ def run_serve(config: "PPConfig | str", params: ServeBenchParams,
               trace: "str | bool | None" = None,
               adapt: Any = None) -> ServeBenchResult:
     """One full open-loop serving run for one configuration."""
+    from ..apps.serve import ServeDriver
     if isinstance(config, str):
         config = PPConfig.parse(config)
     p = params

@@ -1,6 +1,11 @@
-"""Simulated HPX asynchronous many-task runtime (the paper's §2.2 stack)."""
+"""Simulated HPX asynchronous many-task runtime (the paper's §2.2 stack).
 
-from .collectives import Collectives, REDUCTIONS
+:mod:`~repro.hpx_rt.collectives` loads on first access of ``Collectives``
+or ``REDUCTIONS`` (PEP 562): only the FFT and BFS applications use it.
+"""
+
+import importlib
+
 from .future import Future, Latch
 from .parcel import HpxMessage, Parcel
 from .parcel_layer import ParcelLayer
@@ -20,3 +25,15 @@ __all__ = [
     "CostModel", "PlatformSpec", "EXPANSE", "ROSTAM", "LAPTOP",
     "platform_by_name",
 ]
+
+
+def __getattr__(name):
+    if name not in ("Collectives", "REDUCTIONS"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.collectives"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -21,7 +21,6 @@ from .primitives import (AtomicCell, ContentionMeter, SerialResource,
 from .queues import FifoChannel, MPSCQueue
 from .rng import RngPool
 from .stats import StatSet, TimeSeries, summarize
-from .trace import TraceEvent, Tracer
 
 __all__ = [
     "Simulator", "Event", "Process", "Timeout", "AllOf", "AnyOf",
@@ -29,5 +28,4 @@ __all__ = [
     "SpinLock", "TryLock", "AtomicCell", "SerialResource", "ContentionMeter",
     "FifoChannel", "MPSCQueue",
     "RngPool", "StatSet", "TimeSeries", "summarize",
-    "Tracer", "TraceEvent",
 ]

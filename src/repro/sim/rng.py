@@ -4,14 +4,18 @@ Every stochastic decision in the simulation (task compute jitter, octree
 refinement, workload arrival noise) draws from a stream derived from a
 single root seed plus a stable stream name, so experiments are exactly
 repeatable and independent components do not perturb each other's draws.
+
+numpy is imported when the first stream is created: the message-rate and
+latency workloads draw no random number, so they never load it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["RngPool"]
 
@@ -27,6 +31,7 @@ class RngPool:
         """Return (creating if needed) the stream for ``name``."""
         gen = self._streams.get(name)
         if gen is None:
+            import numpy as np
             digest = hashlib.sha256(
                 f"{self.root_seed}:{name}".encode()).digest()
             seed = int.from_bytes(digest[:8], "little")

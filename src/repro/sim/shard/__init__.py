@@ -15,14 +15,31 @@ Public surface:
   shard state the runtime and fabric consult;
 * :exc:`ShardStopped`, :exc:`LookaheadViolation`,
   :exc:`ShardingUnsupported` — the engine's failure vocabulary.
+
+The runtime consults :mod:`~repro.sim.shard.context` on every build;
+:mod:`~repro.sim.shard.runner` and its ``multiprocessing`` import load on
+first access of ``run_sharded`` or ``run_sharded_point`` (PEP 562).
 """
+
+import importlib
 
 from .context import (LookaheadViolation, ShardContext, ShardStopped,
                       ShardingUnsupported, current_context, set_current)
-from .runner import run_sharded, run_sharded_point
 
 __all__ = [
     "ShardContext", "ShardStopped", "LookaheadViolation",
     "ShardingUnsupported", "current_context", "set_current",
     "run_sharded", "run_sharded_point",
 ]
+
+
+def __getattr__(name):
+    if name not in ("run_sharded", "run_sharded_point"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.runner"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,7 +15,6 @@ from repro.obs import (CATEGORIES, TRACE_PRESETS, MetricsRegistry,
                        to_merged_chrome_trace, validate_chrome_trace)
 from repro.sim.core import Simulator
 from repro.sim.stats import TimeSeries, percentile
-from repro.sim.trace import Tracer
 
 pytestmark = pytest.mark.obs
 
@@ -36,7 +35,7 @@ def traced_lci():
 
 
 # ---------------------------------------------------------------------------
-# trace-spec parsing + the legacy Tracer
+# trace-spec parsing
 # ---------------------------------------------------------------------------
 def test_parse_trace_spec_presets():
     assert parse_trace_spec(None) is None
@@ -59,31 +58,6 @@ def test_parse_trace_spec_rejects_garbage():
         parse_trace_spec("")
     with pytest.raises(ValueError):
         parse_trace_spec(["wire", "nope"])
-
-
-def test_tracer_empty_categories_means_none():
-    """Regression: ``enable(categories=[])`` must filter everything out,
-    not fall back to 'everything' because an empty set is falsy."""
-    sim = Simulator()
-    tr = Tracer(sim)
-    tr.enable(categories=[])
-    tr.emit("net", "hello")
-    assert len(tr) == 0
-    tr.enable(categories=None)
-    tr.emit("net", "hello")
-    assert len(tr) == 1
-
-
-def test_tracer_bridges_to_span_recorder():
-    sim = Simulator()
-    tr = Tracer(sim)
-    rec = SpanRecorder(sim, spec="all")
-    tr.enable()
-    tr.bridge_to(rec)
-    tr.emit("wire", "leg", mid=7)
-    assert len(rec) == 1
-    assert rec.spans[0].kind == "instant"
-    assert rec.spans[0].fields["mid"] == 7
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Adaptive parcelport policies and the metrics-driven config auto-tuner.
 
 ``AdaptiveSpec`` configures a controller that retunes the aggregation
-threshold, the eager/rendezvous cutoff and the LCI progress mode mid-run
-from simulated runtime signals (``docs/TUNING.md``).  ``run_tune`` drives
+threshold and the LCI progress mode mid-run from simulated runtime
+signals (``docs/TUNING.md``).  ``run_tune`` drives
 a successive-halving search over ``PPConfig`` x adaptive-parameter space
 through the cached parallel sweep engine (``repro-fig tune``).
 """

@@ -1,12 +1,12 @@
 """Adaptive parcelport policies.
 
-The LCI-parcelport paper freezes the aggregation threshold, the
-eager/rendezvous cutoff and the progress-engine choice at construction
-time (``PPConfig``); its analysis sections show each knob's best value is
-workload-dependent.  This module makes the three knobs respond to runtime
-feedback: an :class:`AdaptiveController` samples the stack's counters on a
-fixed *simulated-time* cadence and retunes a shared :class:`AdaptiveState`
-that the parcelports, the parcel layer and the network backends consult.
+The LCI-parcelport paper freezes the aggregation threshold and the
+progress-engine choice at construction time (``PPConfig``); its analysis
+sections show each knob's best value is workload-dependent.  This module
+makes both knobs respond to runtime feedback: an
+:class:`AdaptiveController` samples the stack's counters on a fixed
+*simulated-time* cadence and retunes a shared :class:`AdaptiveState` that
+the parcelports and the parcel layer consult.
 
 Design constraints (see ``docs/TUNING.md``):
 
@@ -49,16 +49,10 @@ class AdaptiveSpec:
     #: Upper bound on the hold (bytes).
     agg_hold_max: int = 8192
 
-    #: Initial multiplier on the backend eager/rendezvous threshold.
-    eager_scale_init: float = 1.0
-    eager_scale_min: float = 0.25
-    eager_scale_max: float = 4.0
-
     #: Hysteresis bands (per-tick deltas unless noted).
     backlog_high: int = 8       # queued parcels across the runtime (gauge)
     backlog_low: int = 1
     stall_high: int = 1         # credit stalls per tick
-    exhaust_high: int = 1       # packet-pool exhaustions per tick
     contention_high: float = 0.5  # progress-lock wait share
     contention_low: float = 0.05
     #: wire messages per tick at or below which the system counts as
@@ -84,11 +78,6 @@ class AdaptiveSpec:
             raise ValueError("aggregation holds must be non-negative")
         if self.agg_hold_max < self.agg_hold_start:
             raise ValueError("agg_hold_max must be >= agg_hold_start")
-        if not (0 < self.eager_scale_min <= self.eager_scale_max):
-            raise ValueError("eager scale bounds must satisfy 0 < min <= max")
-        if not (self.eager_scale_min <= self.eager_scale_init
-                <= self.eager_scale_max):
-            raise ValueError("eager_scale_init outside [min, max]")
         if self.backlog_low > self.backlog_high:
             raise ValueError("backlog_low must be <= backlog_high")
         if not (0.0 <= self.contention_low <= self.contention_high <= 1.0):
@@ -116,24 +105,16 @@ class AdaptiveSpec:
 class AdaptiveState:
     """The mutable knob values, shared by every locality's stack.
 
-    One instance per runtime; parcelports, parcel layers, LCI devices and
-    the MPI comm each hold a reference and read it on their hot paths.
+    One instance per runtime; parcelports and parcel layers each hold a
+    reference and read it on their hot paths.
     """
 
-    __slots__ = ("spec", "agg_hold_bytes", "eager_scale", "progress_pinned")
+    __slots__ = ("spec", "agg_hold_bytes", "progress_pinned")
 
     def __init__(self, spec: AdaptiveSpec, progress_pinned: bool):
         self.spec = spec
         self.agg_hold_bytes = spec.agg_hold_init
-        self.eager_scale = spec.eager_scale_init
         self.progress_pinned = progress_pinned
-
-    def eager_cutoff(self, base: int) -> int:
-        """The effective eager/rendezvous threshold for a backend whose
-
-        configured threshold is ``base`` bytes.
-        """
-        return int(base * self.eager_scale)
 
 
 class AdaptiveController:
@@ -155,21 +136,15 @@ class AdaptiveController:
         self.decisions: List[Dict[str, Any]] = []
         self._has_lci = False
         # Last-seen cumulative counters; per-tick signals are deltas.
-        self._seen = {"stalls": 0, "exhaust": 0, "contended": 0, "calls": 0,
-                      "wire": 0}
-        self._dwell = {"agg_up": 0, "agg_down": 0, "eager_down": 0,
-                       "eager_up": 0, "pin": 0, "unpin": 0}
-        self._cool = {"agg": 0, "eager": 0, "progress": 0}
+        self._seen = {"stalls": 0, "contended": 0, "calls": 0, "wire": 0}
+        self._dwell = {"agg_up": 0, "agg_down": 0, "pin": 0, "unpin": 0}
+        self._cool = {"agg": 0, "progress": 0}
         for loc in runtime.localities:
             pp = loc.parcelport
             pp.adapt = self.state
             if loc.parcel_layer is not None:
                 loc.parcel_layer.adapt = self.state
-            mpi = getattr(pp, "mpi", None)
-            if mpi is not None:
-                mpi.adapt = self.state
-            for dev in getattr(pp, "devices", ()):
-                dev.adapt = self.state
+            if getattr(pp, "devices", ()):
                 self._has_lci = True
         runtime.sim.process(self._run(), name="adapt_controller")
 
@@ -179,7 +154,7 @@ class AdaptiveController:
     def _signals(self) -> Dict[str, float]:
         rt = self.rt
         backlog = 0
-        stalls = exhaust = contended = calls = 0
+        stalls = contended = calls = 0
         parcels = 0
         bytes_total = 0
         for loc in rt.localities:
@@ -187,7 +162,6 @@ class AdaptiveController:
             backlog += pp._backlog_total
             stalls += pp.stats.get("credit_stalls")
             for dev in getattr(pp, "devices", ()):
-                exhaust += dev.pool.stats.get("exhaustions")
                 contended += dev.stats.get("progress_contended")
                 calls += dev.stats.get("progress_calls")
             pl = loc.parcel_layer
@@ -199,17 +173,15 @@ class AdaptiveController:
         rx = sum(loc.nic.rx_pending() for loc in rt.localities)
         seen = self._seen
         d_stalls = stalls - seen["stalls"]
-        d_exhaust = exhaust - seen["exhaust"]
         d_cont = contended - seen["contended"]
         d_calls = calls - seen["calls"]
         d_wire = wire - seen["wire"]
-        seen.update(stalls=stalls, exhaust=exhaust,
-                    contended=contended, calls=calls, wire=wire)
+        seen.update(stalls=stalls, contended=contended, calls=calls,
+                    wire=wire)
         attempts = d_cont + d_calls
         return {
             "backlog": float(backlog),
             "stalls": float(d_stalls),
-            "exhaust": float(d_exhaust),
             "wait_share": (d_cont / attempts) if attempts else 0.0,
             "wire": float(d_wire),
             "rx": float(rx),
@@ -268,27 +240,6 @@ class AdaptiveController:
                 self._cool["agg"] = sp.cooldown_ticks
                 self._dwell["agg_down"] = 0
 
-        # Eager/rendezvous cutoff: packet-pool exhaustion means eager
-        # sends are starving the pool -- push traffic to rendezvous by
-        # shrinking the cutoff; drift back up when the pool is quiet.
-        self._bump("eager_down", sig["exhaust"] >= sp.exhaust_high)
-        self._bump("eager_up", sig["exhaust"] == 0)
-        if not self._cool["eager"]:
-            if self._dwell["eager_down"] >= sp.dwell_ticks:
-                new = max(sp.eager_scale_min, st.eager_scale / sp.step)
-                if new != st.eager_scale:
-                    self._retune("eager_scale", st.eager_scale, new)
-                    st.eager_scale = new
-                    self._cool["eager"] = sp.cooldown_ticks
-                self._dwell["eager_down"] = 0
-            elif (self._dwell["eager_up"] >= sp.dwell_ticks
-                  and st.eager_scale < sp.eager_scale_init):
-                new = min(sp.eager_scale_init, st.eager_scale * sp.step)
-                self._retune("eager_scale", st.eager_scale, new)
-                st.eager_scale = new
-                self._cool["eager"] = sp.cooldown_ticks
-                self._dwell["eager_up"] = 0
-
         # Progress mode (LCI only; the MPI parcelport has no pinned
         # progress thread): pin when workers fight over the progress lock,
         # hand progress back to workers only when the whole system is
@@ -346,7 +297,6 @@ class AdaptiveController:
             "ticks": float(self.ticks),
             "retunes": float(sum(self.retunes.values())),
             "agg_hold_final": float(st.agg_hold_bytes),
-            "eager_scale_final": float(st.eager_scale),
             "progress_pinned_final": 1.0 if st.progress_pinned else 0.0,
         }
         for knob, n in sorted(self.retunes.items()):

@@ -42,8 +42,6 @@ ADAPT_VARIANTS: Dict[str, Optional[AdaptiveSpec]] = {
     "hold1k": AdaptiveSpec(agg_hold_init=1024, agg_hold_max=16384),
     # Purely reactive: all knobs start at the config's values.
     "auto": AdaptiveSpec(),
-    # Rendezvous-leaning: halve the eager cutoff from the start.
-    "rndv": AdaptiveSpec(eager_scale_init=0.5),
 }
 
 #: configs crossed with the adaptive variants (the baseline is always

@@ -124,20 +124,6 @@ class FftDriver:
         self._out: Dict[int, List[tuple]] = {}
         self._checksum: Dict[int, complex] = {}
         self._latch: Optional[Latch] = None
-        ctx = runtime.shard_ctx
-        if ctx is not None and ctx.n_shards > 1:
-            ctx.register_contrib("fft.state", self._collect_state,
-                                 self._absorb_state)
-
-    def _collect_state(self):
-        return (self._out, self._checksum, self._marks)
-
-    def _absorb_state(self, snap) -> None:
-        out, checksums, marks = snap
-        self._out.update(out)
-        self._checksum.update(checksums)
-        for key, per_lid in marks.items():
-            self._marks.setdefault(key, {}).update(per_lid)
 
     # ------------------------------------------------------------------
     # deterministic input (depends on the runtime seed, nothing else)
@@ -157,17 +143,11 @@ class FftDriver:
     # public entry point
     # ------------------------------------------------------------------
     def run(self, max_events: Optional[int] = None) -> FftResult:
-        # Under the sharded engine each shard runs (and latches on) only
-        # the localities it owns; _out/_checksum/_marks are distributed
-        # and flow to the root shard as contributions at the collective
-        # stop, so _assemble sees the full sequential state.
-        mine = [lid for lid in range(self.p) if self.rt.shard_owns(lid)]
-        self._latch = Latch(self.rt.sim, len(mine))
-        for lid in mine:
+        self._latch = Latch(self.rt.sim, self.p)
+        for lid in range(self.p):
             self.rt.locality(lid).spawn(self._make_task(lid),
                                         name=f"fft_L{lid}")
-        self.rt.run_until(self._latch, max_events=max_events,
-                          shard_mode="all")
+        self.rt.run_until(self._latch, max_events=max_events)
         if not self._latch.open:
             raise RuntimeError("FFT run did not complete (event budget "
                                "exhausted or messages permanently lost)")

@@ -47,12 +47,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fan independent sweep points across N worker "
                              "processes (results are identical to "
                              "sequential; default 1)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="run each sweep point on the sharded "
-                             "conservative-parallel engine with N shard "
-                             "processes (byte-identical results at any N; "
-                             "see docs/SHARDING.md; default 1 = the "
-                             "sequential kernel)")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="content-addressed result cache directory "
                              "(default: $REPRO_CACHE_DIR if set; see "
@@ -125,11 +119,9 @@ def _dispatch(args: argparse.Namespace,
               parser: argparse.ArgumentParser) -> int:
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.shards is not None and args.shards < 1:
-        parser.error("--shards must be >= 1")
     from .parallel import policy, set_policy
     set_policy(jobs=args.jobs, cache_dir=args.cache,
-               no_cache=args.no_cache, shards=args.shards)
+               no_cache=args.no_cache)
 
     if args.figure == "perf":
         from .perfbench import run_perf

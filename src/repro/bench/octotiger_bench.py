@@ -29,13 +29,6 @@ def run_octotiger(config: "PPConfig | str", params: OctoTigerBenchParams,
     """One Octo-Tiger run; returns the Fig 10/11 metric (steps/s) and
     structure counters."""
     from ..apps.octotiger import OctoTigerConfig, OctoTigerDriver
-    from ..sim.shard.context import ShardingUnsupported, current_context
-    ctx = current_context()
-    if ctx is not None and ctx.n_shards > 1:
-        raise ShardingUnsupported(
-            "the octotiger proxy's result depends on cross-locality "
-            "scheduler state that the sharded engine does not merge; "
-            "run it without --shards")
     if isinstance(config, str):
         config = PPConfig.parse(config)
     p = params

@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
+from ..hpx_rt.platform import platform_by_name
+
 __all__ = [
     "PointTask", "ResultCache", "ExecutionPolicy",
     "code_fingerprint", "evaluate_point", "run_points",
@@ -98,14 +100,22 @@ class PointTask:
                           sort_keys=True, separators=(",", ":"))
 
 
-def _platform(name: str):
-    from ..hpx_rt.platform import EXPANSE, LAPTOP, ROSTAM
+def _platform_name(platform) -> str:
+    """The name a sweep point stores for ``platform``.
+
+    :func:`evaluate_point` maps the name back to the preset, so anything
+    but an unmodified preset would silently run (and be cached) as the
+    preset of the same name; refuse it instead.
+    """
     try:
-        return {"expanse": EXPANSE, "rostam": ROSTAM,
-                "laptop": LAPTOP}[name]
+        preset = platform_by_name(platform.name)
     except KeyError:
-        raise ValueError(f"unknown platform {name!r} (parallel sweep points "
-                         f"serialize platforms by name)") from None
+        preset = None
+    if platform != preset:
+        raise ValueError(
+            f"platform {platform.name!r} is not an unmodified preset; "
+            f"sweep points serialize platforms by name")
+    return platform.name
 
 
 def message_rate_task(config: str, *, msg_size: int, batch: int,
@@ -116,7 +126,7 @@ def message_rate_task(config: str, *, msg_size: int, batch: int,
     params = {"msg_size": msg_size, "batch": batch,
               "total_msgs": total_msgs,
               "inject_rate_kps": inject_rate_kps,
-              "platform": platform.name,
+              "platform": _platform_name(platform),
               "max_events": max_events}
     if adapt is not None:
         # Key appears only when adaptation is on, so every pre-existing
@@ -130,7 +140,7 @@ def latency_task(config: str, *, msg_size: int, window: int, steps: int,
                  max_events: int = 20_000_000) -> PointTask:
     return PointTask("latency", config,
                      {"msg_size": msg_size, "window": window,
-                      "steps": steps, "platform": platform.name,
+                      "steps": steps, "platform": _platform_name(platform),
                       "max_events": max_events}, seed)
 
 
@@ -138,7 +148,7 @@ def octotiger_task(config: str, *, platform, n_localities: int,
                    paper_level: int, n_steps: int, seed: int,
                    max_events: int = 60_000_000) -> PointTask:
     return PointTask("octotiger", config,
-                     {"platform": platform.name,
+                     {"platform": _platform_name(platform),
                       "n_localities": n_localities,
                       "paper_level": paper_level, "n_steps": n_steps,
                       "max_events": max_events}, seed)
@@ -154,7 +164,7 @@ def fft_task(config: str, *, n1: int, n2: int, n_localities: int,
               "iterations": iterations, "fragment": fragment,
               "credit_window": credit_window,
               "max_backlog": max_backlog,
-              "platform": platform.name,
+              "platform": _platform_name(platform),
               "max_events": max_events}
     if adapt is not None:
         params["adapt"] = dict(adapt)
@@ -176,7 +186,7 @@ def serve_task(config: str, *, offered_kps: float, horizon_us: float,
               "credit_window": credit_window,
               "max_backlog": max_backlog,
               "max_queued_parcels": max_queued_parcels,
-              "platform": platform.name,
+              "platform": _platform_name(platform),
               "max_events": max_events}
     if adapt is not None:
         params["adapt"] = dict(adapt)
@@ -187,28 +197,14 @@ def evaluate_point(task: PointTask) -> Dict[str, float]:
     """Run one sweep point and return its flat metric dict.
 
     Top-level (and argument-picklable) so :class:`ProcessPoolExecutor`
-    workers can execute it.  Under an active ``--shards N`` policy the
-    point is handed to the sharded engine
-    (:func:`repro.sim.shard.run_sharded_point`), which forks ``N`` shard
-    processes that each re-enter this function under a shard context —
-    the ``current_context()`` check keeps the recursion single-level.
+    workers can execute it.
     """
-    from ..sim.shard.context import ShardingUnsupported, current_context
-
-    if _POLICY.shards > 1 and current_context() is None:
-        if task.kind == "octotiger":
-            raise ShardingUnsupported(
-                "the octotiger proxy's result depends on cross-locality "
-                "scheduler state that the sharded engine does not merge; "
-                "run it without --shards")
-        if "adapt" in task.params:
-            raise ShardingUnsupported(
-                "adaptive policies (adapt=) are not supported under "
-                "--shards > 1: the controller's shared state spans "
-                "localities that live on different shards")
-        from ..sim.shard.runner import run_sharded_point
-        return run_sharded_point(task, _POLICY.shards)
     p = dict(task.params)
+    if "platform" in p:
+        try:
+            p["platform"] = platform_by_name(p["platform"])
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
 
     def _adapt_spec():
         if "adapt" not in p:
@@ -222,7 +218,7 @@ def evaluate_point(task: PointTask) -> Dict[str, float]:
             msg_size=p["msg_size"], batch=p["batch"],
             total_msgs=p["total_msgs"],
             inject_rate_kps=p["inject_rate_kps"],
-            platform=_platform(p["platform"]),
+            platform=p["platform"],
             max_events=p["max_events"])
         return run_message_rate(task.config, params,
                                 seed=task.seed,
@@ -231,7 +227,7 @@ def evaluate_point(task: PointTask) -> Dict[str, float]:
         from .latency import LatencyParams, run_latency
         params = LatencyParams(
             msg_size=p["msg_size"], window=p["window"], steps=p["steps"],
-            platform=_platform(p["platform"]), max_events=p["max_events"])
+            platform=p["platform"], max_events=p["max_events"])
         return run_latency(task.config, params, seed=task.seed).as_dict()
     if task.kind == "fft":
         from .fft_bench import FftBenchParams, run_fft
@@ -239,7 +235,7 @@ def evaluate_point(task: PointTask) -> Dict[str, float]:
             n1=p["n1"], n2=p["n2"], n_localities=p["n_localities"],
             iterations=p["iterations"], fragment=p["fragment"],
             credit_window=p["credit_window"], max_backlog=p["max_backlog"],
-            platform=_platform(p["platform"]), max_events=p["max_events"])
+            platform=p["platform"], max_events=p["max_events"])
         return run_fft(task.config, params, seed=task.seed,
                        adapt=_adapt_spec()).as_dict()
     if task.kind == "serve":
@@ -252,13 +248,13 @@ def evaluate_point(task: PointTask) -> Dict[str, float]:
             credit_window=p["credit_window"],
             max_backlog=p["max_backlog"],
             max_queued_parcels=p["max_queued_parcels"],
-            platform=_platform(p["platform"]), max_events=p["max_events"])
+            platform=p["platform"], max_events=p["max_events"])
         return run_serve(task.config, params, seed=task.seed,
                          adapt=_adapt_spec()).as_dict()
     if task.kind == "octotiger":
         from .octotiger_bench import OctoTigerBenchParams, run_octotiger
         params = OctoTigerBenchParams(
-            platform=_platform(p["platform"]),
+            platform=p["platform"],
             n_localities=p["n_localities"],
             paper_level=p["paper_level"], n_steps=p["n_steps"],
             max_events=p["max_events"])
@@ -332,18 +328,10 @@ class ResultCache:
 # ---------------------------------------------------------------------------
 @dataclass
 class ExecutionPolicy:
-    """How sweep points are evaluated: fan-out width + result cache +
-    shard count for the conservative-parallel engine.
-
-    ``shards`` deliberately does **not** enter the cache key: shard-count
-    invariance (same bytes at any ``--shards N``) is part of the engine's
-    contract, so a result computed at one shard count is a valid cache
-    hit for every other.
-    """
+    """How sweep points are evaluated: fan-out width + result cache."""
 
     jobs: int = 1
     cache: Optional[ResultCache] = None
-    shards: int = 1
 
 
 _POLICY = ExecutionPolicy()
@@ -356,8 +344,7 @@ def policy() -> ExecutionPolicy:
 
 def set_policy(jobs: Optional[int] = None,
                cache_dir: "str | Path | None" = None,
-               no_cache: bool = False,
-               shards: Optional[int] = None) -> ExecutionPolicy:
+               no_cache: bool = False) -> ExecutionPolicy:
     """Configure the process-wide execution policy.
 
     ``cache_dir=None`` falls back to the ``REPRO_CACHE_DIR`` environment
@@ -368,10 +355,6 @@ def set_policy(jobs: Optional[int] = None,
         if jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {jobs}")
         _POLICY.jobs = jobs
-    if shards is not None:
-        if shards < 1:
-            raise ValueError(f"--shards must be >= 1, got {shards}")
-        _POLICY.shards = shards
     if no_cache:
         _POLICY.cache = None
     elif cache_dir is not None:
@@ -382,14 +365,14 @@ def set_policy(jobs: Optional[int] = None,
 
 
 @contextmanager
-def execution(jobs: int = 1, cache: "ResultCache | str | Path | None" = None,
-              shards: int = 1) -> Iterator[ExecutionPolicy]:
+def execution(jobs: int = 1, cache: "ResultCache | str | Path | None" = None
+              ) -> Iterator[ExecutionPolicy]:
     """Temporarily swap the execution policy (used by tests and drivers)."""
     global _POLICY
     prev = _POLICY
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
-    _POLICY = ExecutionPolicy(jobs=jobs, cache=cache, shards=shards)
+    _POLICY = ExecutionPolicy(jobs=jobs, cache=cache)
     try:
         yield _POLICY
     finally:
@@ -417,10 +400,6 @@ def run_points(tasks: Sequence[PointTask],
     pol = _POLICY
     if jobs is None:
         jobs = pol.jobs
-    if pol.shards > 1:
-        # Each point already fans out over shard processes; stacking a
-        # ProcessPoolExecutor on top would fork from daemonic workers.
-        jobs = 1
     if cache is None and not no_cache:
         cache = pol.cache
     if no_cache:

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["KERNEL_WORKLOADS", "BENCH_SCHEMA",
-           "bench_kernel", "bench_models", "bench_figures", "bench_shards",
+           "bench_kernel", "bench_models", "bench_figures",
            "validate_bench", "run_perf"]
 
 #: schema tag stamped into every BENCH_*.json document
@@ -323,122 +323,6 @@ def bench_figures(full: bool = False, jobs: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------
-# sharded-engine scaling macro
-# ---------------------------------------------------------------------------
-def _shard_macro(n_localities: int, rounds: int, horizon_us: float,
-                 seed: int) -> Callable[[], Dict[str, Any]]:
-    """A partition-friendly macro for the sharded engine.
-
-    Localities pair up (``2k <-> 2k+1``) and stream pings for a fixed
-    virtual horizon; the contiguous ownership split keeps every pair on
-    one shard, so measured scaling reflects engine + barrier overhead,
-    not wire-codec cost.  Deadline termination freezes every shard at
-    exactly ``horizon_us``, which is what makes the aggregate event
-    count shard-count-invariant (asserted by the caller).
-    """
-    def run() -> Dict[str, Any]:
-        from .. import make_runtime
-        from ..hpx_rt.platform import EXPANSE
-
-        plat = EXPANSE.with_(max_nodes=max(EXPANSE.max_nodes, n_localities),
-                             sim_cores_per_node=2)
-        rt = make_runtime("lci", platform=plat, n_localities=n_localities,
-                          seed=seed)
-
-        def pong(worker, i):
-            return None
-
-        rt.register_action("pong", pong)
-
-        def pinger(lid):
-            def task(worker):
-                for i in range(rounds):
-                    yield from worker.locality.apply(
-                        worker, lid + 1, "pong", (i,), arg_sizes=[64])
-            return task
-
-        rt.boot()
-        for lid in range(0, n_localities, 2):
-            if rt.shard_owns(lid):
-                rt.locality(lid).spawn(pinger(lid), name=f"ping{lid}")
-        ctx = rt.shard_ctx
-        peer_events: List[int] = []
-        if ctx is not None and ctx.n_shards > 1:
-            ctx.register_contrib("bench.events",
-                                 lambda: rt.sim.event_count,
-                                 peer_events.append)
-        rt.run_until(float(horizon_us))
-        return {"events": rt.sim.event_count + sum(peer_events),
-                "windows": ctx.windows if ctx is not None else 0}
-
-    return run
-
-
-def bench_shards(full: bool = False,
-                 repeats: Optional[int] = None) -> Dict[str, Any]:
-    """Scale the pair-ping-pong macro over shard counts; return the doc.
-
-    Every shard count must produce the *same* aggregate event count
-    (shard-count invariance — asserted here before anything is recorded);
-    the quoted numbers are aggregate events/sec and wall seconds per
-    shard count, with ``--shards 1`` (in-process, no barriers) as the
-    baseline.  Like every wall-clock suite here, CI records but does not
-    gate on the ratios: on a single-core host the honest speedup is ~1×
-    or below (the processes time-slice one core and pay the barrier
-    tax); the committed baseline states its ``cpu_count`` for exactly
-    that reason.
-    """
-    from ..sim.shard.runner import run_sharded_point
-
-    repeats = repeats or (3 if full else 2)
-    n_localities = 256 if full else 32
-    rounds = 30 if full else 20
-    horizon_us = 400.0 if full else 300.0
-    shard_counts = (1, 2, 4, 8) if full else (1, 2, 4)
-
-    doc = _doc_header("shards", repeats)
-    doc["scale"] = "full" if full else "smoke"
-    doc["workload"] = {"macro": "pair_ping_pong", "config": "lci",
-                       "n_localities": n_localities, "rounds": rounds,
-                       "horizon_us": horizon_us}
-    workload = _shard_macro(n_localities, rounds, horizon_us, seed=7)
-
-    results: Dict[str, Any] = {}
-    events0: Optional[int] = None
-    base_s: Optional[float] = None
-    for n in shard_counts:
-        # warm-up doubles as the invariance check
-        r = run_sharded_point(workload, n)
-        if events0 is None:
-            events0 = r["events"]
-        elif r["events"] != events0:
-            raise AssertionError(
-                f"shards={n}: aggregate event count diverged "
-                f"({r['events']} vs {events0}) — shard-count invariance "
-                f"broken")
-        times: List[float] = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            run_sharded_point(workload, n)
-            times.append(time.perf_counter() - t0)
-        wall = statistics.median(times)
-        if n == 1:
-            base_s = wall
-        eps = r["events"] / wall
-        results[str(n)] = {
-            "events": r["events"],
-            "windows": r["windows"],
-            "wall_s": round(wall, 6),
-            "events_per_s": round(eps),
-            "speedup_vs_1": round(base_s / wall, 3),
-        }
-    doc["shard_counts"] = results
-    doc["best_speedup"] = max(r["speedup_vs_1"]
-                              for r in results.values())
-    return doc
-
-
-# ---------------------------------------------------------------------------
 # schema validation (what the CI perf job checks)
 # ---------------------------------------------------------------------------
 def validate_bench(doc: Dict[str, Any]) -> List[str]:
@@ -447,7 +331,7 @@ def validate_bench(doc: Dict[str, Any]) -> List[str]:
     if doc.get("schema") != BENCH_SCHEMA:
         errors.append(f"schema != {BENCH_SCHEMA!r}: {doc.get('schema')!r}")
     kind = doc.get("kind")
-    if kind not in ("kernel", "models", "figures", "shards", "tune"):
+    if kind not in ("kernel", "models", "figures", "tune"):
         errors.append(f"unknown kind {kind!r}")
     for key in ("python", "platform", "generated_utc", "repeats", "scale"):
         if key not in doc:
@@ -479,26 +363,6 @@ def validate_bench(doc: Dict[str, Any]) -> List[str]:
         for key in ("speedup_min", "speedup_geomean"):
             if not isinstance(doc.get(key), (int, float)):
                 errors.append(f"missing/bad {key}")
-    elif kind == "shards":
-        counts = doc.get("shard_counts")
-        if not counts:
-            errors.append("shards doc has no shard_counts")
-        else:
-            events = {c.get("events") for c in counts.values()}
-            if len(events) != 1:
-                errors.append(f"aggregate events differ across shard "
-                              f"counts: {sorted(events)} — invariance "
-                              f"contract broken")
-            for n, c in counts.items():
-                for key in ("events", "wall_s", "events_per_s",
-                            "speedup_vs_1"):
-                    val = c.get(key)
-                    if not isinstance(val, (int, float)) or val <= 0:
-                        errors.append(f"shards={n}: bad {key}={val!r}")
-        if "workload" not in doc:
-            errors.append("shards doc has no workload description")
-        if not isinstance(doc.get("best_speedup"), (int, float)):
-            errors.append("missing/bad best_speedup")
     elif kind == "figures":
         if not doc.get("figures"):
             errors.append("figures doc has no figure timings")
@@ -595,23 +459,10 @@ def run_perf(full: bool = False, out_dir: str = ".",
           f"{sweep['parallel_s']:.1f}s ({sweep['speedup']:.2f}x, "
           f"{os.cpu_count()} cores)")
 
-    shards_doc = bench_shards(full=full)
-    w = shards_doc["workload"]
-    print(f"== sharded engine ({shards_doc['scale']}, "
-          f"{w['n_localities']} localities, median of "
-          f"{shards_doc['repeats']}) ==")
-    for n, c in shards_doc["shard_counts"].items():
-        print(f"  shards={n:<3} {c['events_per_s']:>9,} ev/s  "
-              f"{c['wall_s']:.2f}s wall  "
-              f"({c['speedup_vs_1']:.2f}x vs 1)")
-    print(f"  best speedup {shards_doc['best_speedup']:.2f}x "
-          f"({os.cpu_count()} cores)")
-
     failures = 0
     for fname, doc in (("BENCH_kernel.json", kernel_doc),
                        ("BENCH_models.json", models_doc),
-                       ("BENCH_figures.json", figures_doc),
-                       ("BENCH_shards.json", shards_doc)):
+                       ("BENCH_figures.json", figures_doc)):
         errors = validate_bench(doc)
         if errors:
             failures += 1

@@ -28,7 +28,6 @@ build without this module.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, TYPE_CHECKING
 
@@ -425,14 +424,6 @@ class FaultInjector:
         self.rng = rng
         self.stats = StatSet(name)
         self._random = plan.drop_prob > 0.0 or plan.corrupt_prob > 0.0
-        #: when set (the sharded engine does this), random drop/corrupt
-        #: draws are *keyed* by (src, per-src transmit seq) instead of
-        #: consumed from the sequential rng stream: each message's fate is
-        #: then a pure function of its traffic identity, so the fault
-        #: schedule is invariant across shard counts (sequential-stream
-        #: draws would depend on the global transmit interleaving, which
-        #: shard partitioning legitimately changes).
-        self.keyed_base: Optional[str] = None
 
     # -- deterministic schedules --------------------------------------------
     def link_down(self, src: int, dst: int, t: float) -> bool:
@@ -493,26 +484,14 @@ class FaultInjector:
                    and (d is None or d == msg.dst)
                    for s, d in targets)
 
-    def on_transmit(self, msg: "NetMsg",
-                    key: Optional[Tuple[int, int]] = None) -> str:
-        """Decide this message's fate: DELIVER, DROP or CORRUPT.
-
-        ``key`` is the fabric's intrinsic (src, per-src seq) delivery key;
-        it feeds the keyed-draw mode (:attr:`keyed_base`) and is otherwise
-        ignored.
-        """
+    def on_transmit(self, msg: "NetMsg") -> str:
+        """Decide this message's fate: DELIVER, DROP or CORRUPT."""
         if self.link_down(msg.src, msg.dst, self.sim.now):
             self.stats.inc("flap_drops")
             self.stats.inc(f"drop.{msg.kind}")
             return DROP
         if self._random and self._targeted(msg):
-            if self.keyed_base is not None and key is not None:
-                digest = hashlib.sha256(
-                    f"{self.keyed_base}:{key[0]}:{key[1]}".encode()
-                ).digest()
-                r = int.from_bytes(digest[:8], "big") / 2.0 ** 64
-            else:
-                r = float(self.rng.random())
+            r = float(self.rng.random())
             if r < self.plan.drop_prob:
                 self.stats.inc("drops")
                 self.stats.inc(f"drop.{msg.kind}")

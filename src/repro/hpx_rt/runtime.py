@@ -199,24 +199,6 @@ class HpxRuntime:
         self.adapt = None
         self._pp_factory = parcelport_factory
         self._booted = False
-        # Sharded engine: when a shard context is active this runtime is
-        # one shard's replica of the world — attach derives the owned
-        # locality set and arms the fabric's export boundary.
-        from ..sim.shard.context import current_context
-        self.shard_ctx = current_context()
-        #: peer shards' fault/flow snapshots, absorbed on the root shard
-        #: at the collective stop (empty everywhere else)
-        self._peer_faults: List[Dict[str, int]] = []
-        self._peer_flow: List[Dict[str, Any]] = []
-        if self.shard_ctx is not None:
-            self.shard_ctx.attach(self)
-            if self.shard_ctx.n_shards > 1:
-                self.shard_ctx.register_contrib(
-                    "rt.faults", self._collect_faults,
-                    self._peer_faults.append)
-                self.shard_ctx.register_contrib(
-                    "rt.flow", self._collect_flow,
-                    self._peer_flow.append)
 
     # -- setup -------------------------------------------------------------
     def register_action(self, name: str, fn: Callable) -> None:
@@ -247,15 +229,8 @@ class HpxRuntime:
             from ..adapt import AdaptiveController
             self.adapt = AdaptiveController(self, self.adapt_spec)
         # Parcelports exist on all localities before any starts (so the
-        # first message cannot arrive at an unbooted peer).  Under the
-        # sharded engine only *owned* localities execute: construction is
-        # replicated on every shard (identical rng draws), but progress
-        # engines and workers start solely where the locality lives.
-        ctx = self.shard_ctx
+        # first message cannot arrive at an unbooted peer).
         for loc in self.localities:
-            if ctx is not None and ctx.n_shards > 1 \
-                    and loc.lid not in ctx.owned:
-                continue
             loc.parcelport.start()
             # A pinned progress thread (the rp/pin configurations) runs on
             # its own simulated core *in addition* to the workers: on the
@@ -283,41 +258,13 @@ class HpxRuntime:
         return Latch(self.sim, n)
 
     def run_until(self, what: "Future | Latch | Event | float",
-                  max_events: Optional[int] = None,
-                  shard_mode: str = "root") -> Any:
-        """Run the simulation until a future/latch/event fires (or a time).
-
-        ``shard_mode`` only matters under ``--shards > 1``: ``"root"``
-        stops the world when the root shard's event fires (results that
-        live on one locality), ``"all"`` when every shard's local event
-        has fired (results distributed across localities — e.g. the FFT
-        latch).  The sequential engine ignores it.
-        """
+                  max_events: Optional[int] = None) -> Any:
+        """Run the simulation until a future/latch/event fires (or a time)."""
         if not self._booted:
             self.boot()
         if isinstance(what, (Future, Latch)):
             what = what.wait()
-        ctx = self.shard_ctx
-        if ctx is not None and ctx.n_shards > 1:
-            return ctx.run_until(what, max_events=max_events,
-                                 mode=shard_mode)
         return self.sim.run(until=what, max_events=max_events)
-
-    # -- sharding ------------------------------------------------------------
-    def shard_owns(self, lid: int) -> bool:
-        """Does the current shard execute locality ``lid``?  (Always True
-        on the sequential engine and under ``--shards 1``.)"""
-        ctx = self.shard_ctx
-        return (ctx is None or ctx.n_shards == 1
-                or lid in ctx.owned)
-
-    def _collect_faults(self) -> Dict[str, int]:
-        return self._local_fault_summary()
-
-    def _collect_flow(self) -> Dict[str, Any]:
-        ctx = self.shard_ctx
-        return {k: v for k, v in self._local_flow_summary().items()
-                if int(k[1:]) in ctx.owned}
 
     def shutdown(self) -> None:
         """Stop worker loops (the simulator can then drain quickly)."""
@@ -330,13 +277,6 @@ class HpxRuntime:
         """One :class:`~repro.obs.metrics.MetricsRegistry` view over this
         runtime: fault counters, flow gauges, parcelport/layer/worker
         stats, and span-derived histograms when tracing is on."""
-        ctx = self.shard_ctx
-        if ctx is not None and ctx.n_shards > 1:
-            from ..sim.shard.context import ShardingUnsupported
-            raise ShardingUnsupported(
-                "runtime.metrics() sees only one shard's state under "
-                "--shards > 1; use fault_summary()/flow_summary(), which "
-                "merge across shards")
         from ..obs.metrics import build_runtime_metrics
         return build_runtime_metrics(self)
 
@@ -353,17 +293,7 @@ class HpxRuntime:
         """Fault-injection counters, merged across all layers.
 
         Empty dict when no injector is active and reliability is off.
-        On the root shard of a sharded run this includes the peer shards'
-        counters (keywise sums) once the collective stop has exchanged
-        contributions.
         """
-        out = self._local_fault_summary()
-        for peer in self._peer_faults:
-            for k, v in peer.items():
-                out[k] = out.get(k, 0) + v
-        return out
-
-    def _local_fault_summary(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         if self.fault_injector is not None:
             out.update(self.fault_injector.stats.counters)
@@ -405,23 +335,9 @@ class HpxRuntime:
         """Per-peer flow-control gauges (credits left, queue depths).
 
         Empty dict when no :class:`~repro.flow.FlowControlPolicy` is set.
-        On the root shard of a sharded run, each locality's entry comes
-        from the shard that executed it, emitted in locality order (the
-        sequential shape).
         """
         if self.flow_policy is None:
             return {}
-        ctx = self.shard_ctx
-        if ctx is None or ctx.n_shards == 1:
-            return self._local_flow_summary()
-        per_lid = self._collect_flow()
-        for peer in self._peer_flow:
-            per_lid.update(peer)
-        return {f"L{lid}": per_lid[f"L{lid}"]
-                for lid in range(len(self.localities))
-                if f"L{lid}" in per_lid}
-
-    def _local_flow_summary(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {}
         for loc in self.localities:
             pp = loc.parcelport

@@ -127,9 +127,6 @@ class LciDevice:
         self.notify = None
         #: span recorder (None => tracing off, zero overhead)
         self.obs = None
-        #: adaptive state (repro.adapt); None keeps the configured
-        #: thresholds — set by the AdaptiveController when adaptation is on
-        self.adapt = None
 
     def progress_wait_share(self) -> float:
         """Fraction of progress attempts that found the engine lock held.

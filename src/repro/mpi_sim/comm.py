@@ -66,9 +66,6 @@ class MpiComm:
         self.notify = None
         #: span recorder (None => tracing off, zero overhead)
         self.obs = None
-        #: adaptive state (repro.adapt); None keeps the configured eager
-        #: threshold — set by the AdaptiveController when adaptation is on
-        self.adapt = None
 
     def _obs_lock_span(self, worker, t_req: float, t_acq: float) -> None:
         """One ``progress/mpi`` hold span: [acquire, release] of the big
@@ -93,9 +90,7 @@ class MpiComm:
         t_acq = self.sim.now
         yield worker.cpu(p.post_op_us)
         wire_size = size + p.wire_header_bytes
-        eager_max = (p.eager_threshold if self.adapt is None
-                     else self.adapt.eager_cutoff(p.eager_threshold))
-        if size <= eager_max:
+        if size <= p.eager_threshold:
             # Eager: copy into a bounce buffer, inject, complete locally.
             yield worker.cpu(size * p.memcpy_per_byte_us)
             post_cost = self.nic.post_send(NetMsg(

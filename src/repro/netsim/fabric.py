@@ -38,10 +38,6 @@ class Fabric:
         #: (time, src, per-src seq) delivery tie-break key (see
         #: :data:`repro.sim.core.DELIVERY`)
         self._dseq: Dict[int, int] = {}
-        #: shard context when running under the sharded engine (None in the
-        #: sequential engine); deliveries to unowned localities are exported
-        #: at the window barrier instead of scheduled locally
-        self.shard_ctx = None
 
     def add_node(self, node_id: int) -> Nic:
         """Create and attach the NIC for ``node_id``."""
@@ -71,9 +67,8 @@ class Fabric:
         dseq = self._dseq
         n = dseq.get(src, 0)
         dseq[src] = n + 1
-        key = (src, n)
         if self.injector is not None:
-            verdict = self.injector.on_transmit(msg, key)
+            verdict = self.injector.on_transmit(msg)
             if verdict == "drop":
                 self.stats.inc("dropped_msgs")
                 if self.obs is not None:
@@ -85,13 +80,8 @@ class Fabric:
                 if self.obs is not None:
                     self.obs.wire_fault(msg, "corrupt")
         wire = 0.0 if msg.dst == msg.src else self.params.wire_latency_us
-        arrive_t = tx_done_t + wire
-        ctx = self.shard_ctx
-        if ctx is not None and msg.dst not in ctx.owned:
-            ctx.export_msg(arrive_t, key, msg)
-            return
-        self.sim.schedule_delivery(arrive_t - self.sim.now, dst.deliver,
-                                   msg, key)
+        self.sim.schedule_delivery(tx_done_t + wire - self.sim.now,
+                                   dst.deliver, msg, (src, n))
 
     def node_ids(self) -> List[int]:
         return sorted(self.nics)

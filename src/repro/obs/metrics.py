@@ -221,7 +221,6 @@ def build_runtime_metrics(rt: Any) -> MetricsRegistry:
             reg.counter(f"adapt.retune.{knob}").inc(n)
         st = ad.state
         reg.gauge("adapt.agg_hold_bytes").set(float(st.agg_hold_bytes))
-        reg.gauge("adapt.eager_scale").set(float(st.eager_scale))
         reg.gauge("adapt.progress_pinned").set(
             1.0 if st.progress_pinned else 0.0)
         shares = [dev.progress_wait_share()

@@ -290,10 +290,7 @@ class LciParcelport(Parcelport):
         conn.cur = comp
         if isinstance(comp, Synchronizer):
             yield from self._register_sync(worker, comp)
-        ad = self.adapt
-        eager_max = (device.params.eager_threshold if ad is None
-                     else ad.eager_cutoff(device.params.eager_threshold))
-        use_rendezvous = size > eager_max
+        use_rendezvous = size > device.params.eager_threshold
         if not use_rendezvous:
             fl = self.flow
             attempt = 0
@@ -366,10 +363,7 @@ class LciParcelport(Parcelport):
         conn.cur = comp
         if isinstance(comp, Synchronizer):
             yield from self._register_sync(worker, comp)
-        ad = self.adapt
-        eager_max = (device.params.eager_threshold if ad is None
-                     else ad.eager_cutoff(device.params.eager_threshold))
-        if size <= eager_max:
+        if size <= device.params.eager_threshold:
             yield from device.recvm(worker, tag, size, comp,
                                     ctx=("recv", conn))
         else:

@@ -53,14 +53,10 @@ HEADER_DECODE_US = 0.20
 class MpiParcelport(Parcelport):
     """HPX's MPI parcelport on the simulated MPI library.
 
-    Adaptive policies (``repro.adapt``) reach this parcelport one layer
-    down on each side: the eager/rendezvous cutoff is scaled inside
-    :meth:`MpiComm.isend <repro.mpi_sim.comm.MpiComm.isend>` and the
-    aggregation hold inside the shared parcel layer, both via the
-    ``adapt`` state the controller installs on ``self`` and
-    ``self.mpi``.  There is no pinned progress thread to switch
-    (``reserves_progress_core`` is ``False``), so the progress knob is
-    LCI-only.
+    Adaptive policies (``repro.adapt``) reach this parcelport through the
+    aggregation hold in the shared parcel layer.  There is no pinned
+    progress thread to switch (``reserves_progress_core`` is ``False``),
+    so the progress knob is LCI-only.
     """
 
     reserves_progress_core = False  # no dedicated progress thread in MPI pp

@@ -61,11 +61,10 @@ NORMAL = 1
 #: slot: ``(src locality, per-source delivery sequence)`` instead of the
 #: global scheduling counter.  Co-temporal deliveries therefore order by
 #: (time, src, per-src order) — a property of the *traffic*, not of when the
-#: scheduling call happened to run — which is what makes the sharded engine's
-#: window-boundary imports land in exactly the sequential engine's order
-#: (see repro/sim/shard/ and docs/SHARDING.md).  Keys are tuples and plain
-#: seqs are ints, so the distinct priority level also keeps the heap's
-#: lexicographic compare from ever mixing the two.
+#: scheduling call happened to run.  Every committed result and golden
+#: digest depends on this order.  Keys are tuples and plain seqs are ints,
+#: so the distinct priority level also keeps the heap's lexicographic
+#: compare from ever mixing the two.
 DELIVERY = 0.5
 
 
@@ -523,11 +522,10 @@ class Simulator:
         with the intrinsic tie-break ``key`` (``(src, per-src seq)``).
 
         Used exclusively for wire deliveries (:meth:`repro.netsim.fabric.
-        Fabric.transmit` and the sharded engine's window imports): the key
-        replaces the global seq counter so co-temporal deliveries order by
-        traffic identity rather than by scheduling order, and no global seq
-        is consumed (later events keep the same *relative* seq order either
-        way).
+        Fabric.transmit`): the key replaces the global seq counter so
+        co-temporal deliveries order by traffic identity rather than by
+        scheduling order, and no global seq is consumed (later events keep
+        the same *relative* seq order either way).
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
@@ -705,58 +703,6 @@ class Simulator:
         if deadline is not None and not self._heap:
             self.now = max(self.now, deadline)
         return None
-
-    def run_window(self, stop_before: float,
-                   stop_event: Optional[Event] = None,
-                   deadline: Optional[float] = None,
-                   max_events: Optional[int] = None) -> int:
-        """Process events strictly before ``stop_before``; return the count.
-
-        The sharded engine's inner loop (see :mod:`repro.sim.shard`): one
-        conservative time window executes every event with
-        ``t < stop_before`` — the exclusive bound is what guarantees a
-        cross-shard delivery scheduled *at* the horizon is never outrun.
-        ``stop_event`` mirrors :meth:`run`'s until-event cut (stop as soon
-        as it has been processed, leaving later events scheduled) and
-        ``deadline`` mirrors the inclusive float-until cut (``t <=
-        deadline``), so a windowed run makes exactly the sequential
-        kernel's stopping decision, just in horizon-sized slices.  Unlike
-        :meth:`run`, the clock is *not* advanced to the horizon — virtual
-        time only moves with events, and the barrier protocol reads
-        :meth:`peek` to agree on the next horizon.
-        """
-        heap = self._heap
-        pop = _heappop
-        limit = max_events if max_events is not None else float("inf")
-        now = self.now
-        processed = 0
-        try:
-            while heap:
-                if stop_event is not None and stop_event.callbacks is None:
-                    break
-                t = heap[0][0]
-                if t >= stop_before:
-                    break
-                if deadline is not None and t > deadline:
-                    break
-                if processed >= limit:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} "
-                        f"(possible livelock)")
-                item = pop(heap)
-                if t < now:
-                    raise SimulationError("time went backwards")
-                self.now = now = t
-                processed += 1
-                event = item[3]
-                callbacks = event.callbacks
-                event.callbacks = None
-                event.processed = True
-                for cb in callbacks:
-                    cb(event)
-        finally:
-            self.event_count += processed
-        return processed
 
     def peek(self) -> float:
         """Time of the next scheduled event (inf if none)."""

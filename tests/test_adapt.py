@@ -27,7 +27,6 @@ from repro.bench.message_rate import MessageRateParams, run_message_rate
 from repro.bench.parallel import (evaluate_point, execution,
                                   message_rate_task, run_points)
 from repro.hpx_rt.platform import EXPANSE
-from repro.sim.shard import ShardContext, ShardingUnsupported, set_current
 
 pytestmark = pytest.mark.adapt
 
@@ -46,8 +45,6 @@ def test_spec_defaults_valid():
     {"interval_us": 0.0},
     {"agg_hold_init": -1},
     {"agg_hold_start": 512, "agg_hold_max": 256},
-    {"eager_scale_min": 0.0},
-    {"eager_scale_init": 8.0},
     {"backlog_low": 9, "backlog_high": 8},
     {"contention_low": 0.9, "contention_high": 0.5},
     {"dwell_ticks": 0},
@@ -59,7 +56,7 @@ def test_spec_rejects_bad_values(kw):
 
 
 def test_spec_dict_roundtrip():
-    spec = AdaptiveSpec(agg_hold_init=1024, eager_scale_init=0.5,
+    spec = AdaptiveSpec(agg_hold_init=1024, switch_progress=False,
                         dwell_ticks=3)
     assert AdaptiveSpec.from_dict(spec.as_dict()) == spec
 
@@ -196,26 +193,6 @@ def test_aggregation_hold_engages_and_flushes():
     assert r.adapt["agg_hold_final"] >= 0
     # Every message still arrives: holds delay pumps, never drop them.
     assert r.message_rate_kps > 0
-
-
-# ---------------------------------------------------------------------------
-# sharding guard
-# ---------------------------------------------------------------------------
-def test_adapt_rejected_under_shards():
-    set_current(ShardContext(0, 2))
-    try:
-        with pytest.raises(ShardingUnsupported, match="adapt"):
-            make_runtime("lci", platform=EXPANSE, n_localities=2, seed=1,
-                         adapt=AdaptiveSpec())
-    finally:
-        set_current(None)
-
-
-def test_adapt_task_rejected_by_sharded_engine():
-    task = _adapt_tasks()[0]
-    with execution(shards=2):
-        with pytest.raises(ShardingUnsupported, match="adapt"):
-            run_points([task])
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,14 @@ FORBIDDEN_TREES = ("numpy", "multiprocessing", "repro.apps", "repro.adapt")
 
 #: single modules a message-rate or latency run must not import
 FORBIDDEN_MODULES = (
-    "repro.sim.shard.runner", "repro.hpx_rt.collectives",
+    "repro.hpx_rt.collectives",
     "repro.obs.chrome_trace", "repro.obs.critical_path",
     "repro.obs.metrics",
     "repro.bench.figures", "repro.bench.parallel", "repro.bench.perfbench",
     "repro.bench.sweep", "repro.bench.validation", "repro.bench.seedpaths",
 )
 
-LAZY_PACKAGES = ("repro.bench", "repro.apps", "repro.obs", "repro.hpx_rt",
-                 "repro.sim.shard")
+LAZY_PACKAGES = ("repro.bench", "repro.apps", "repro.obs", "repro.hpx_rt")
 
 
 def run_fresh(code: str):

@@ -73,6 +73,13 @@ def test_evaluate_point_rejects_unknown_kind_and_platform():
                        {**bad.params, "platform": "cray"}, 0)
     with pytest.raises(ValueError, match="unknown platform"):
         evaluate_point(broken)
+    # A modified preset would serialize as, and silently run as, the
+    # unmodified preset of the same name.
+    with pytest.raises(ValueError, match="not an unmodified preset"):
+        message_rate_task("mpi_i", msg_size=8, batch=50, total_msgs=500,
+                          inject_rate_kps=None,
+                          platform=EXPANSE.with_(sim_cores_per_node=2),
+                          seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +183,41 @@ def test_code_fingerprint_is_hex_and_cached():
     assert len(fp) == 64 and int(fp, 16) >= 0
 
 
+def test_cache_misses_after_nested_module_edit(tmp_path, monkeypatch):
+    """Editing a source file in a sub-package must invalidate every key."""
+    import shutil
+    from pathlib import Path
+
+    import repro
+
+    task = message_rate_task("mpi", msg_size=8, batch=8, total_msgs=16,
+                             inject_rate_kps=None, platform=EXPANSE, seed=1)
+    cache = ResultCache(tmp_path / "cache")
+    try:
+        key_before = cache.key(task)
+        cache.put(task, {"x": 1.0})
+        assert cache.get(task) == {"x": 1.0}
+
+        # Clone the package tree, touch ONLY a nested module, repoint
+        # the fingerprint at the clone.
+        pkg_root = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).resolve().parent, pkg_root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(repro, "__file__",
+                            str(pkg_root / "__init__.py"))
+        code_fingerprint(refresh=True)
+        assert cache.key(task) == key_before  # identical clone, same key
+
+        target = pkg_root / "apps" / "serve" / "driver.py"
+        target.write_text(target.read_text() + "\n# touched\n")
+        code_fingerprint(refresh=True)
+        assert cache.key(task) != key_before
+        assert cache.get(task) is None  # the old entry is unreachable
+    finally:
+        monkeypatch.undo()
+        code_fingerprint(refresh=True)  # restore the process-wide digest
+
+
 # ---------------------------------------------------------------------------
 # execution policy
 # ---------------------------------------------------------------------------
@@ -187,6 +229,28 @@ def test_set_policy_validates_and_execution_restores(tmp_path):
         with pytest.raises(ValueError, match="jobs"):
             set_policy(jobs=0)
     assert parallel.policy() is prev
+
+
+def test_repeat_seed_ladder_pinned():
+    from repro.bench.seeds import REPEAT_BASE, REPEAT_STEP, repeat_seeds
+
+    # The historical inline sequence every committed figure was
+    # generated with: 1000 + i*7919.  Pinned so the migrations in
+    # bench/sweep.py and bench/perfbench.py stay bit-exact.
+    assert (REPEAT_BASE, REPEAT_STEP) == (1000, 7919)
+    assert repeat_seeds(3) == [1000, 8919, 16838]
+    assert repeat_seeds(1) == [1000]
+    # sweep.py's per-spec ladder: base_seed + rep*7919
+    assert repeat_seeds(3, base=42) == [42, 7961, 15880]
+    with pytest.raises(ValueError, match="at least one"):
+        repeat_seeds(0)
+
+
+def test_sweep_cells_use_the_ladder():
+    spec = SweepSpec(axes={"x": [1, 2]}, repeats=2, base_seed=500)
+    result = run_sweep(lambda x, seed: {"y": float(seed)}, spec, jobs=1)
+    assert [row["seed"] for row in result.rows] == \
+        [500 + rep * 7919 for _ in (1, 2) for rep in range(2)]
 
 
 def test_env_var_supplies_default_cache(tmp_path, monkeypatch):

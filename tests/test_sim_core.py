@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import (AllOf, AnyOf, Event, Interrupt, SimulationError,
                        Simulator, Timeout)
+from repro.sim.core import URGENT
 
 
 def test_timeout_fires_at_delay():
@@ -629,3 +630,33 @@ def test_schedule_call_result_is_waitable_event():
     sim.process(waiter(sim))
     sim.run()
     assert out == ["ran", ("woke", 2.0)]
+
+
+def test_co_temporal_order_urgent_then_deliveries_by_key_then_normal():
+    # At one timestamp: URGENT wake-ups run first, then wire deliveries
+    # in (src, per-src seq) key order whatever order they were scheduled
+    # in, then NORMAL events in scheduling order.
+    sim = Simulator()
+    order = []
+
+    def burst():
+        sim.schedule_call(0.0, lambda: order.append("normal-1"))
+        for key in ((2, 0), (0, 1), (1, 0), (0, 0)):
+            sim.schedule_delivery(0.0, order.append, ("dlv",) + key, key)
+        sim.schedule_call(0.0, lambda: order.append("normal-2"))
+        ev = sim.event()
+        ev.add_callback(lambda _ev: order.append("urgent"))
+        ev.succeed(priority=URGENT)
+
+    sim.schedule_call(2.0, burst)
+    # Two deliveries due at t=7: the higher key is scheduled first, at t=0.
+    sim.schedule_delivery(7.0, order.append, ("late", 1, 0), (1, 0))
+    sim.schedule_call(3.0, lambda: sim.schedule_delivery(
+        4.0, order.append, ("late", 0, 5), (0, 5)))
+    sim.run()
+    assert order == ["urgent",
+                     ("dlv", 0, 0), ("dlv", 0, 1), ("dlv", 1, 0),
+                     ("dlv", 2, 0),
+                     "normal-1", "normal-2",
+                     ("late", 0, 5), ("late", 1, 0)]
+    assert sim.now == 7.0

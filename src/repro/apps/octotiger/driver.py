@@ -49,6 +49,9 @@ class OctoTigerDriver:
                  config: Optional[OctoTigerConfig] = None):
         self.rt = runtime
         self.config = config or OctoTigerConfig()
+        #: argument sizes of every ghost-zone exchange: one tuple, shared
+        #: by all boundary parcels instead of one copy per parcel
+        self._boundary_sizes = (self.config.boundary_bytes,)
         self._phase = 0.0
         self.regrids = 0
         self.migrated_leaves = 0
@@ -174,7 +177,7 @@ class OctoTigerDriver:
                     for _f in range(cfg.boundary_fields):
                         yield from worker.locality.apply(
                             worker, nbr.owner, "ot_boundary", (nbr_nid,),
-                            arg_sizes=[cfg.boundary_bytes])
+                            arg_sizes=self._boundary_sizes)
             if not self.model.expected_boundary[leaf.nid]:
                 # Degenerate (single-leaf) tree: no inputs to wait for.
                 worker.locality.spawn(self._make_update(leaf),

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..hpx_rt import future as _future_mod
@@ -62,7 +62,6 @@ from ..netsim.fabric import Fabric
 from ..parcelport import lci_pp as _lci_pp_mod
 from ..parcelport.lci_pp import LciParcelport
 from ..parcelport.mpi_pp import MpiParcelport
-from ..netsim.message import _msg_ids
 from ..sim import _seed_kernel
 from ..sim import primitives as _primitives_mod
 from ..sim import queues as _queues_mod
@@ -75,9 +74,9 @@ __all__ = ["reference_models", "SeedNetMsg"]
 
 @dataclass
 class SeedNetMsg:
-    """The seed's :class:`NetMsg`: a plain dataclass with a
-    ``default_factory`` msg_id (kept verbatim; shares the live id counter
-    so interleaved live/reference runs never collide)."""
+    """The seed's :class:`NetMsg` as a plain dataclass (kept verbatim but
+    for ``msg_id``, which the live ``Nic.post_send`` stamps from the
+    fabric's counter, as it does for a live message)."""
 
     src: int
     dst: int
@@ -86,7 +85,7 @@ class SeedNetMsg:
     tag: Optional[int] = None
     payload: Any = None
     vchan: int = 0
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
+    msg_id: int = -1
     inject_t: float = 0.0
     arrive_t: float = 0.0
     corrupted: bool = False

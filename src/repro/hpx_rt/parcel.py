@@ -15,8 +15,7 @@ Terminology follows §2.2 of the paper exactly:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 __all__ = ["Parcel", "HpxMessage", "PARCEL_METADATA_BYTES",
@@ -27,11 +26,7 @@ PARCEL_METADATA_BYTES = 64
 #: Bytes per zero-copy chunk entry in the transmission chunk.
 TRANSMISSION_ENTRY_BYTES = 16
 
-_parcel_ids = itertools.count()
-_msg_ids = itertools.count()
-
-
-@dataclass
+@dataclass(slots=True)
 class Parcel:
     """One action invocation in flight.
 
@@ -45,17 +40,19 @@ class Parcel:
     src: int
     args: Tuple[Any, ...] = ()
     arg_sizes: Tuple[int, ...] = ()
-    pid: int = field(default_factory=lambda: next(_parcel_ids))
+    #: trace correlation id, drawn from the owning runtime's per-run
+    #: counter (0 for a parcel built outside a runtime)
+    pid: int = 0
 
     def __post_init__(self) -> None:
         if not self.arg_sizes and self.args:
             # Default: tiny scalar arguments of 8 bytes each.
-            self.arg_sizes = tuple(8 for _ in self.args)
+            self.arg_sizes = (8,) * len(self.args)
         elif len(self.arg_sizes) != len(self.args):
             raise ValueError(
                 f"arg_sizes ({len(self.arg_sizes)}) does not match args "
                 f"({len(self.args)})")
-        if any(s < 0 for s in self.arg_sizes):
+        elif self.arg_sizes and min(self.arg_sizes) < 0:
             raise ValueError("negative argument size")
 
     @property
@@ -67,7 +64,7 @@ class Parcel:
         return PARCEL_METADATA_BYTES + self.payload_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class HpxMessage:
     """A serialized batch of parcels: what the parcelport layer transfers."""
 
@@ -85,9 +82,10 @@ class HpxMessage:
     #: parcelport submit path, transferred to the in-flight entry and
     #: released exactly once — on ack or terminal failure)
     credited: bool = False
-    #: process-global message id: the correlation key that links every
-    #: observability record of this message's lifecycle into one chain
-    mid: int = field(default_factory=lambda: next(_msg_ids))
+    #: message id: the correlation key that links every observability
+    #: record of this message's lifecycle into one chain, drawn from the
+    #: owning runtime's per-run counter (0 outside a runtime)
+    mid: int = 0
 
     @property
     def has_zero_copy(self) -> bool:

@@ -42,6 +42,7 @@ class ParcelLayer:
         self.cost = locality.cost
         self.immediate = immediate
         self.stats = StatSet(f"L{locality.lid}.parcel_layer")
+        self._message_ids = locality.runtime.message_ids
 
         self._queues: Dict[int, Deque[Parcel]] = defaultdict(deque)
         self._queue_locks: Dict[int, SpinLock] = {}
@@ -91,7 +92,8 @@ class ParcelLayer:
         pp = self.locality.parcelport
         sp = None if self.obs is None else self.obs.begin(
             "parcel", "serialize", loc=self.locality.lid, tid=worker.name)
-        msg = serialize_parcels([parcel], self.cost)
+        msg = serialize_parcels([parcel], self.cost,
+                                next(self._message_ids))
         yield worker.cpu(serialize_cost(msg, self.cost))
         if self.obs is not None:
             self.obs.end(sp, mid=msg.mid, parcels=1, bytes=msg.total_bytes,
@@ -181,10 +183,12 @@ class ParcelLayer:
             # this wait is where aggregation opportunity comes from.
             self.stats.inc("pump_deferred")
             return
-        yield from self._drain_into(worker, dest, conn)
+        yield from self._drain_into(worker, conn)
 
-    def _drain_into(self, worker: "Worker", dest: int, conn):
-        """Drain the queue into ``conn``; recycle ``conn`` if queue empty."""
+    def _drain_into(self, worker: "Worker", conn):
+        """Drain the queue for ``conn.dest`` into ``conn``; recycle
+        ``conn`` if the queue is empty."""
+        dest = conn.dest
         pp = self.locality.parcelport
         fl = self.flow
         if (fl is not None and fl.overflow != OVERFLOW_SHED
@@ -192,7 +196,7 @@ class ParcelLayer:
             # Known-full backlog: don't waste serialization work — park the
             # drain until the parcelport has room again (shed policy instead
             # proceeds and sheds whatever the submit refuses).
-            yield from self._defer_drain(worker, dest, conn)
+            yield from self._defer_drain(worker, conn)
             return
         qlock = self._qlock(dest)
         yield from worker.lock(qlock)
@@ -210,7 +214,8 @@ class ParcelLayer:
             return
         sp = None if self.obs is None else self.obs.begin(
             "parcel", "serialize", loc=self.locality.lid, tid=worker.name)
-        msg = serialize_parcels(parcels, self.cost)
+        msg = serialize_parcels(parcels, self.cost,
+                                next(self._message_ids))
         yield worker.cpu(serialize_cost(msg, self.cost))
         if self.obs is not None:
             self.obs.end(sp, mid=msg.mid, parcels=len(parcels),
@@ -235,21 +240,19 @@ class ParcelLayer:
         self._queues[dest].extendleft(reversed(parcels))
         self.stats.inc("parcels_requeued", len(parcels))
         qlock.release()
-        yield from self._defer_drain(worker, dest, conn)
+        yield from self._defer_drain(worker, conn)
 
-    def _defer_drain(self, worker: "Worker", dest: int, conn):
-        """Park a drain until the parcelport backlog for ``dest`` has room."""
+    def _defer_drain(self, worker: "Worker", conn):
+        """Park a drain until the parcelport backlog for ``conn.dest`` has
+        room."""
         self.stats.inc("drains_deferred")
-        pp = self.locality.parcelport
         yield from self._recycle(worker, conn)
+        self.locality.parcelport.notify_when_accepting(conn.dest,
+                                                       self._spawn_drain)
 
-        def wake(dest=dest):
-            def drain(w, dest=dest):
-                yield from self._pump(w, dest)
-
-            self.locality.spawn(drain, name="pp_drain")
-
-        pp.notify_when_accepting(dest, wake)
+    def _spawn_drain(self, dest: int) -> None:
+        """Schedule a pump of the ``dest`` queue as its own task."""
+        self.locality.spawn(self._pump, "pp_drain", dest)
 
     def _shed(self, parcel: Parcel) -> None:
         """Overload-shed one parcel (bounded sample + app-visible failure)."""
@@ -272,10 +275,7 @@ class ParcelLayer:
         nesting depth when the parcel queue is continuously refilled, and
         matches HPX handing continuation work back to the scheduler.
         """
-        def drain(w, conn=conn):
-            yield from self._drain_into(w, conn.dest, conn)
-
-        self.locality.spawn(drain, name="pp_drain")
+        self.locality.spawn(self._drain_into, "pp_drain", conn)
         return None
 
     def _recycle(self, worker: "Worker", conn):
@@ -305,11 +305,7 @@ class ParcelLayer:
         dest = conn.dest
         if self._conn_count[dest] > 0:
             self._conn_count[dest] -= 1
-
-        def drain(w, dest=dest):
-            yield from self._pump(w, dest)
-
-        self.locality.spawn(drain, name="pp_drain")
+        self._spawn_drain(dest)
 
     def report_send_failure(self, msg, exc: Exception) -> None:
         """An HPX message exhausted its retries: degrade gracefully.
@@ -348,11 +344,7 @@ class ParcelLayer:
     def spawn_flush(self, dest: int) -> None:
         """Schedule a pump for ``dest`` (ends an aggregation hold)."""
         self.stats.inc("adapt_flushes")
-
-        def drain(w, dest=dest):
-            yield from self._pump(w, dest)
-
-        self.locality.spawn(drain, name="adapt_flush")
+        self.locality.spawn(self._pump, "adapt_flush", dest)
 
     # -- introspection -------------------------------------------------------
     def queued_parcels(self, dest: Optional[int] = None) -> int:

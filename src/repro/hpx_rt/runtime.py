@@ -16,6 +16,7 @@ this module stays independent of :mod:`repro.parcelport`.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults import FaultInjector, FaultPlan, RetryPolicy
@@ -31,7 +32,7 @@ from .parcel_layer import ParcelLayer
 from .platform import CostModel, PlatformSpec
 from .scheduler import Scheduler, Worker
 from .serialization import deserialize_cost
-from .task import Task
+from .task import NO_ARG, Task
 
 __all__ = ["HpxRuntime", "Locality"]
 
@@ -54,21 +55,28 @@ class Locality:
         self.stats = StatSet(f"L{lid}")
 
     # -- tasking ------------------------------------------------------------
-    def spawn(self, fn: Callable, name: str = "") -> None:
-        """Enqueue a task (``fn(worker) -> generator | None``)."""
-        self.sched.push(Task(fn, name=name))
+    def spawn(self, fn: Callable, name: str = "", arg: Any = NO_ARG) -> None:
+        """Enqueue a task: ``fn(worker)``, or ``fn(worker, arg)`` when
+        ``arg`` is given; either returns a generator or None."""
+        self.sched.push(Task(fn, name, arg))
 
     # -- remote invocation -------------------------------------------------
     def apply(self, worker: Worker, dest: int, action: str,
               args: Tuple[Any, ...] = (),
               arg_sizes: Optional[Sequence[int]] = None):
-        """Generator: invoke ``action`` on locality ``dest`` (§2.2 RPC path)."""
-        if action not in self.runtime.actions:
+        """Generator: invoke ``action`` on locality ``dest`` (§2.2 RPC path).
+
+        ``arg_sizes`` defaults to 8 bytes per argument; a tuple is shared
+        by the parcel, not copied, so a caller that sends the same sizes
+        many times can build the tuple once.
+        """
+        runtime = self.runtime
+        if action not in runtime.actions:
             raise KeyError(f"unregistered action {action!r}")
         yield worker.cpu(self.cost.parcel_create_us)
-        parcel = Parcel(action=action, dest=dest, src=self.lid, args=args,
-                        arg_sizes=tuple(arg_sizes) if arg_sizes is not None
-                        else tuple(8 for _ in args))
+        parcel = Parcel(action, dest, self.lid, args,
+                        () if arg_sizes is None else tuple(arg_sizes),
+                        next(runtime.parcel_ids))
         self.stats.inc("parcels_created")
         if dest == self.lid:
             # Local invocation: HPX short-circuits the network entirely.
@@ -84,29 +92,26 @@ class Locality:
     def on_message(self, msg: HpxMessage) -> None:
         """Deliver a fully-received HPX message: decode + run its actions."""
         self.stats.inc("messages_received")
+        self.spawn(self._decode, "decode", msg)
+
+    def _decode(self, worker: Worker, msg: HpxMessage):
+        """Task body: deserialize ``msg`` and spawn one task per parcel."""
         cost = self.cost
-
-        def decode(worker: Worker, msg=msg):
-            yield worker.cpu(deserialize_cost(msg, cost))
-            for parcel in msg.parcels:
-                yield worker.cpu(cost.task_spawn_us)
-                self._spawn_parcel_task(parcel)
-
-        self.spawn(decode, name="decode")
+        yield worker.cpu(deserialize_cost(msg, cost))
+        for parcel in msg.parcels:
+            yield worker.cpu(cost.task_spawn_us)
+            self._spawn_parcel_task(parcel)
 
     def _spawn_parcel_task(self, parcel: Parcel) -> None:
-        runtime = self.runtime
-        cost = self.cost
         self.stats.inc("parcels_executed")
+        self.spawn(self._run_action, parcel.action, parcel)
 
-        def run_action(worker: Worker, parcel=parcel):
-            yield worker.cpu(cost.action_dispatch_us)
-            handler = runtime.actions[parcel.action]
-            body = handler(worker, *parcel.args)
-            if body is not None:
-                yield from body
-
-        self.spawn(run_action, name=parcel.action)
+    def _run_action(self, worker: Worker, parcel: Parcel):
+        """Task body: dispatch ``parcel`` to its registered action."""
+        yield worker.cpu(self.cost.action_dispatch_us)
+        body = self.runtime.actions[parcel.action](worker, *parcel.args)
+        if body is not None:
+            yield from body
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Locality {self.lid}>"
@@ -168,6 +173,11 @@ class HpxRuntime:
         #: fail futures here
         self.on_parcel_failure: Optional[Callable] = None
         self.actions: Dict[str, Callable] = {}
+        #: per-run id counters for parcels and HPX messages (the trace
+        #: correlation keys ``pid`` and ``mid``): two identical runs in
+        #: one process number them, and so export them, identically
+        self.parcel_ids = itertools.count()
+        self.message_ids = itertools.count()
         self.running = True
         self.immediate = immediate
         #: span recorder (repro.obs); None keeps every instrumentation

@@ -23,7 +23,7 @@ from typing import Deque, Optional, TYPE_CHECKING
 from ..sim.core import AnyOf, Event, Simulator
 from ..sim.primitives import SpinLock
 from ..sim.stats import StatSet
-from .task import Task
+from .task import NO_ARG, Task
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Locality
@@ -180,7 +180,9 @@ class Worker:
             if task is not None:
                 yield self.cpu(cost.task_dispatch_us)
                 self.stats.inc("tasks_run")
-                body = task.fn(self)
+                arg = task.arg
+                body = (task.fn(self) if arg is NO_ARG
+                        else task.fn(self, arg))
                 if body is not None:
                     yield from body
                 backoff = cost.idle_poll_min_us

@@ -40,8 +40,9 @@ def split_args(parcel: Parcel, threshold: int) -> Tuple[int, List[int]]:
 
 
 def serialize_parcels(parcels: Sequence[Parcel], cost: CostModel,
-                      ) -> HpxMessage:
-    """Serialize a batch of same-destination parcels into one HPX message."""
+                      mid: int = 0) -> HpxMessage:
+    """Serialize a batch of same-destination parcels into one HPX message
+    with message id ``mid``."""
     if not parcels:
         raise ValueError("cannot serialize an empty parcel batch")
     dest = parcels[0].dest
@@ -58,7 +59,7 @@ def serialize_parcels(parcels: Sequence[Parcel], cost: CostModel,
     trans = TRANSMISSION_ENTRY_BYTES * len(zc_sizes) if zc_sizes else 0
     return HpxMessage(dest=dest, src=src, parcels=list(parcels),
                       non_zc_size=non_zc, zc_sizes=zc_sizes,
-                      trans_size=trans)
+                      trans_size=trans, mid=mid)
 
 
 def serialize_cost(msg: HpxMessage, cost: CostModel) -> float:

@@ -1,30 +1,36 @@
 """Task objects for the simulated HPX scheduler.
 
-A task body is a callable ``fn(worker) -> generator | None``.  If it returns
-a generator, the worker drives it (the body can ``yield`` simulator events,
+A task body is a callable ``fn(worker) -> generator | None``, or
+``fn(worker, arg)`` when the task carries an argument.  If it returns a
+generator, the worker drives it (the body can ``yield`` simulator events,
 e.g. ``worker.cpu(...)`` or a future's ``wait()``); a plain callable models
 a zero-internal-wait task.
+
+Runtime-internal tasks (parcel execution, message decode, parcel-queue
+drains) all take the argument form with a bound method as ``fn``: a queued
+task then costs the slotted :class:`Task`, the bound method and the
+argument it already had, with no per-task closure, cell or defaults tuple.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
-__all__ = ["Task"]
+__all__ = ["Task", "NO_ARG"]
 
-_task_ids = itertools.count()
+#: ``Task.arg`` of a task whose body takes the worker only
+NO_ARG: Any = object()
 
 
 class Task:
     """One unit of work for a worker thread."""
 
-    __slots__ = ("fn", "name", "tid")
+    __slots__ = ("fn", "name", "arg")
 
-    def __init__(self, fn: Callable, name: str = ""):
+    def __init__(self, fn: Callable, name: str = "", arg: Any = NO_ARG):
         self.fn = fn
         self.name = name or getattr(fn, "__name__", "task")
-        self.tid = next(_task_ids)
+        self.arg = arg
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Task#{self.tid} {self.name}>"
+        return f"<Task {self.name}>"

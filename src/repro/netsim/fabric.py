@@ -7,6 +7,7 @@ paper's runs): the only shared bottlenecks are the per-node NICs themselves.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from ..sim.core import Simulator
@@ -34,6 +35,10 @@ class Fabric:
         self.injector: Optional["FaultInjector"] = None
         #: span recorder (None => tracing off, zero overhead)
         self.obs = None
+        #: wire message ids (``NetMsg.msg_id``), stamped at post time:
+        #: owned per fabric, so a rerun in one process numbers its
+        #: messages, and so traces them, identically
+        self.msg_ids = itertools.count()
         #: per-source delivery sequence counters: the intrinsic half of the
         #: (time, src, per-src seq) delivery tie-break key (see
         #: :data:`repro.sim.core.DELIVERY`)

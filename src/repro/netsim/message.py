@@ -7,12 +7,9 @@ size).  Payload *content* is carried by reference — only sizes cost time.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
 
 __all__ = ["NetMsg"]
-
-_msg_ids = itertools.count()
 
 
 class NetMsg:
@@ -21,9 +18,9 @@ class NetMsg:
     A hand-slotted record (two NetMsg constructions per simulated wire
     message make this a hot allocation site; ``__slots__`` plus a plain
     ``__init__`` beat the seed's dataclass with its ``default_factory``).
-    Messages compare by identity — every construction gets a fresh
-    ``msg_id``, so field equality never held between distinct messages
-    anyway.
+    Messages compare by identity: field equality never held between
+    distinct messages anyway, since each posted one gets its own
+    ``msg_id``.
 
     Attributes
     ----------
@@ -42,6 +39,10 @@ class NetMsg:
     vchan:
         Virtual channel / hardware queue pair: multi-device endpoints
         (the paper's §7.2 future work) keep their traffic separated here.
+    msg_id:
+        Wire id, the key of a message's trace flow arrow: stamped by
+        :meth:`~repro.netsim.nic.Nic.post_send` from the fabric's per-run
+        counter (-1 until posted).
     corrupted:
         Set by the fault injector: the message arrives, but its payload is
         garbage — the receiving library surfaces an error status instead
@@ -53,7 +54,7 @@ class NetMsg:
 
     def __init__(self, src: int, dst: int, size: int, kind: str,
                  tag: Optional[int] = None, payload: Any = None,
-                 vchan: int = 0, msg_id: Optional[int] = None,
+                 vchan: int = 0,
                  inject_t: float = 0.0, arrive_t: float = 0.0,
                  corrupted: bool = False):
         self.src = src
@@ -63,7 +64,7 @@ class NetMsg:
         self.tag = tag
         self.payload = payload
         self.vchan = vchan
-        self.msg_id = next(_msg_ids) if msg_id is None else msg_id
+        self.msg_id = -1
         self.inject_t = inject_t
         self.arrive_t = arrive_t
         self.corrupted = corrupted

@@ -63,6 +63,7 @@ class Nic:
         local completion semantics are the communication library's business.
         """
         assert self.fabric is not None, "NIC not attached to a fabric"
+        msg.msg_id = next(self.fabric.msg_ids)
         msg.inject_t = self.sim.now
         self.stats.inc("tx_msgs")
         self.stats.add("tx_bytes", msg.size)

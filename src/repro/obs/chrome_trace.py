@@ -59,10 +59,12 @@ def to_chrome_events(recorder: SpanRecorder, pid_base: int = 0,
                      label: str = "") -> List[dict]:
     """The raw ``traceEvents`` list for one recorder.
 
-    ``pid_base`` offsets every pid, so traces from several runs can be
-    merged into one file without colliding; ``label`` prefixes the
-    process names.
+    ``pid_base`` offsets every pid, and every flow-arrow id by
+    ``pid_base << 32`` (wire ids restart at 0 in each run), so traces
+    from several runs can be merged into one file without colliding;
+    ``label`` prefixes the process names.
     """
+    flow_base = pid_base << 32
     tids = _TidMap()
     events: List[dict] = []
     seen_pids: Dict[int, int] = {}
@@ -91,7 +93,7 @@ def to_chrome_events(recorder: SpanRecorder, pid_base: int = 0,
             dst_pid = _pid_for(int(sp.fields["dst"]), pid_base)
             if dst_pid not in seen_pids:
                 seen_pids[dst_pid] = int(sp.fields["dst"])
-            flow_id = int(sp.fields.get("msg_id", sp.sid))
+            flow_id = flow_base + int(sp.fields.get("msg_id", sp.sid))
             events.append({"ph": "s", "name": "net", "cat": "wire",
                            "id": flow_id, "ts": sp.t0, "pid": pid,
                            "tid": tid})

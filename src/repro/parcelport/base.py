@@ -127,7 +127,7 @@ class Parcelport(abc.ABC):
         self._backlog_total = 0
         self.backlog_peak = 0
         #: (dest, callback) pairs fired when the dest backlog has room
-        self._accept_waiters: List[Tuple[int, Callable[[], None]]] = []
+        self._accept_waiters: List[Tuple[int, Callable[[int], None]]] = []
         if (self.flow is not None and self.reliability is not None
                 and self.flow.credit_window):
             self.reliability.set_credit_window(self.flow.credit_window)
@@ -219,9 +219,9 @@ class Parcelport(abc.ABC):
         return q is None or len(q) < fl.max_backlog
 
     def notify_when_accepting(self, dest: int,
-                              callback: Callable[[], None]) -> None:
-        """Register a one-shot callback fired (from background work) once
-        the ``dest`` backlog has room again."""
+                              callback: Callable[[int], None]) -> None:
+        """Register a one-shot ``callback(dest)`` fired (from background
+        work) once the ``dest`` backlog has room again."""
         self._accept_waiters.append((dest, callback))
 
     def backlog_depths(self) -> Dict[int, int]:
@@ -258,17 +258,17 @@ class Parcelport(abc.ABC):
                     self.stats.inc("backlog_drains")
                     yield from self.send_message(worker, conn, msg, cb)
         if self._accept_waiters:
-            keep: List[Tuple[int, Callable[[], None]]] = []
-            fired: List[Callable[[], None]] = []
+            keep: List[Tuple[int, Callable[[int], None]]] = []
+            fired: List[Tuple[int, Callable[[int], None]]] = []
             for dest, cb in self._accept_waiters:
                 if self.can_accept(dest):
-                    fired.append(cb)
+                    fired.append((dest, cb))
                 else:
                     keep.append((dest, cb))
             self._accept_waiters = keep
-            for cb in fired:
+            for dest, cb in fired:
                 did = True
-                cb()
+                cb(dest)
         return did
 
     def start(self) -> None:

@@ -1,9 +1,13 @@
 """Tests for the HPX-like runtime: scheduler, futures, actions, parcel layer."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro import LAPTOP, make_runtime
 from repro.hpx_rt import EXPANSE, Future, Latch, ROSTAM, platform_by_name
+from repro.hpx_rt.scheduler import Worker
 from repro.sim import Simulator
 
 
@@ -287,6 +291,39 @@ def test_aggregation_preserves_parcel_multiset():
     assert sorted(seen) == sorted(list(range(0, 10))
                                   + list(range(100, 110))
                                   + list(range(200, 210)))
+
+
+def test_queued_parcel_task_footprint():
+    """A queued local parcel task is a slotted Task holding a bound-method
+    body and its Parcel: at most 3 GC-tracked objects and 400 B each, and
+    no per-task nested function (Octo-Tiger queues ~62 k of these)."""
+    n = 20_000
+    rt = make_runtime("lci_psr_cq_pin_i", platform=LAPTOP, n_localities=2)
+    rt.register_action("noop", lambda worker, x: None)
+    loc = rt.locality(0)
+    worker = Worker(loc, 0)
+
+    def queue(count):
+        for i in range(count):
+            for _ in loc.apply(worker, 0, "noop", (i,)):
+                pass
+
+    queue(100)  # first-use state: stat keys, scheduler deque
+    gc.collect()
+    objects0 = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        queue(n)
+        gc.collect()
+        nbytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    objects = len(gc.get_objects()) - objects0
+    assert loc.sched.pending() == n + 100
+    assert objects / n < 3.01, objects / n  # slack: incidental objects
+    assert nbytes / n <= 400, nbytes / n
+    tasks = [loc.sched.try_pop() for _ in range(n + 100)]
+    assert not [t for t in tasks if "<locals>" in t.fn.__qualname__]
 
 
 def test_custom_fabric_factory():

@@ -214,6 +214,23 @@ def test_merged_chrome_trace(traced_mpi, traced_lci):
     assert any(p < 100 for p in pids) and any(p >= 100 for p in pids)
     labels = [r["label"] for r in doc["otherData"]["runs"]]
     assert labels == ["mpi", "lci"]
+    # wire ids restart in every run; the merged arcs must not share ids
+    flows = [{ev["id"] for ev in doc["traceEvents"]
+              if ev["ph"] == "s" and (ev["pid"] >= 100) == second}
+             for second in (False, True)]
+    assert flows[0] and flows[1] and not flows[0] & flows[1]
+
+
+def test_traced_rerun_exports_identical_json():
+    """Trace ids (parcel ``pid``, message ``mid``, wire ``msg_id``) are
+    drawn per run, so rerunning one traced point in the same process
+    exports byte-identical JSON."""
+    params = MessageRateParams(msg_size=8, total_msgs=200)
+    first, second = (
+        json.dumps(to_chrome_trace(run_message_rate(
+            LCI_CFG, params, seed=7, trace="all").obs))
+        for _ in range(2))
+    assert first == second
 
 
 def test_validator_rejects_malformed_documents():

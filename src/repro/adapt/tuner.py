@@ -13,22 +13,29 @@ The search itself is classic successive halving: all candidates run at
 the smallest budget, the top half advances to a doubled budget, and so on
 until one rung remains at full budget.  The trajectory (every rung's
 scores and survivors) is emitted as ``BENCH_tune.json`` (schema kind
-``tune``, validated by :func:`repro.bench.perfbench.validate_bench`), and
-the winner is compared against the paper's best static configuration
-``lci_psr_cq_pin_i`` at the full budget.
+``tune``, validated by :func:`validate_bench`), and the winner is compared
+against the paper's best static configuration ``lci_psr_cq_pin_i`` at the
+full budget.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import platform as _platform
+import sys
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .policy import AdaptiveSpec
 
-__all__ = ["run_tune", "BASELINE_CONFIG", "ADAPT_VARIANTS", "WORKLOADS"]
+__all__ = ["run_tune", "validate_bench", "BASELINE_CONFIG", "ADAPT_VARIANTS",
+           "WORKLOADS"]
+
+#: schema tag stamped into BENCH_tune.json
+BENCH_SCHEMA = "repro-bench/1"
 
 #: the static config the tuned result must beat (the paper's overall winner)
 BASELINE_CONFIG = "lci_psr_cq_pin_i"
@@ -109,6 +116,73 @@ def _score(task_factory, name_cfg_adapt, budget, seeds
     return tasks
 
 
+def _doc_header(repeats: int) -> Dict[str, Any]:
+    return {
+        "schema": BENCH_SCHEMA,
+        "kind": "tune",
+        "python": sys.version.split()[0],
+        "platform": _platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "generated_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "repeats": repeats,
+    }
+
+
+def validate_bench(doc: Dict[str, Any]) -> List[str]:
+    """Return the schema problems of a ``BENCH_tune.json`` document
+    (empty = valid)."""
+    errors: List[str] = []
+    if doc.get("schema") != BENCH_SCHEMA:
+        errors.append(f"schema != {BENCH_SCHEMA!r}: {doc.get('schema')!r}")
+    if doc.get("kind") != "tune":
+        errors.append(f"kind != 'tune': {doc.get('kind')!r}")
+    for key in ("python", "platform", "generated_utc", "repeats", "scale"):
+        if key not in doc:
+            errors.append(f"missing key {key!r}")
+    for key in ("workload", "metric"):
+        if not doc.get(key):
+            errors.append(f"tune doc missing {key!r}")
+    base = doc.get("baseline")
+    if not isinstance(base, dict) or "config" not in base:
+        errors.append("tune doc missing baseline.config")
+    elif not isinstance(base.get("score"), (int, float)) \
+            or base["score"] <= 0:
+        errors.append(f"baseline: bad score={base.get('score')!r}")
+    rungs = doc.get("rungs")
+    if not rungs:
+        errors.append("tune doc has no rungs")
+    else:
+        for i, rung in enumerate(rungs):
+            cands = rung.get("candidates")
+            if not cands:
+                errors.append(f"rung {i}: no candidates")
+                continue
+            names = set()
+            for c in cands:
+                if "name" not in c or "config" not in c:
+                    errors.append(f"rung {i}: candidate missing "
+                                  f"name/config: {c!r}")
+                    continue
+                names.add(c["name"])
+                if not isinstance(c.get("score"), (int, float)):
+                    errors.append(f"rung {i}: candidate {c['name']}: "
+                                  f"bad score={c.get('score')!r}")
+            kept = rung.get("kept")
+            if not isinstance(kept, list) or not kept:
+                errors.append(f"rung {i}: bad kept={kept!r}")
+            elif not set(kept) <= names:
+                errors.append(f"rung {i}: kept names not a subset of "
+                              f"candidates: {sorted(set(kept) - names)}")
+    winner = doc.get("winner")
+    if not isinstance(winner, dict) or "config" not in winner:
+        errors.append("tune doc missing winner.config")
+    else:
+        for key in ("score", "improvement_pct"):
+            if not isinstance(winner.get(key), (int, float)):
+                errors.append(f"winner: bad {key}={winner.get(key)!r}")
+    return errors
+
+
 def run_tune(workload: Optional[str] = None, full: bool = False,
              out_dir: str = ".", repeats: Optional[int] = None,
              configs: Optional[Sequence[str]] = None,
@@ -124,7 +198,6 @@ def run_tune(workload: Optional[str] = None, full: bool = False,
     """
     from ..bench.figures import _seeds
     from ..bench.parallel import policy, run_points
-    from ..bench.perfbench import _doc_header, validate_bench
 
     workload = workload or "serve"
     if workload not in WORKLOADS:
@@ -139,7 +212,7 @@ def run_tune(workload: Optional[str] = None, full: bool = False,
                         adapt_variants or ADAPT_VARIANTS)
 
     t0 = time.perf_counter()
-    doc = _doc_header("tune", repeats)
+    doc = _doc_header(repeats)
     doc["scale"] = "full" if full else "smoke"
     doc["workload"] = workload
     doc["metric"] = metric

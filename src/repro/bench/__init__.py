@@ -2,7 +2,7 @@
 
 Every name below is loaded from its submodule on first access (PEP 562),
 so a message-rate or latency run imports its own driver and not the
-figure, sweep, cache, validation and perf machinery it never calls.
+figure, sweep, cache and validation machinery it never calls.
 """
 
 import importlib
@@ -27,8 +27,6 @@ _SUBMODULES = {
                  "code_fingerprint", "evaluate_point", "execution",
                  "fft_task", "latency_task", "message_rate_task",
                  "octotiger_task", "run_points", "serve_task", "set_policy"),
-    "perfbench": ("bench_figures", "bench_kernel", "run_perf",
-                  "validate_bench"),
     "profiling": ("format_breakdown", "lock_report", "runtime_breakdown"),
     "sweep": ("SweepResult", "SweepSpec", "run_sweep"),
     "calibration": ("check_calibration", "format_calibration"),

@@ -8,7 +8,6 @@ Examples::
     repro-fig all             # everything (long)
     repro-fig fig1 --jobs 4   # fan sweep points across 4 worker processes
     repro-fig fig1 --cache .repro-cache   # reuse cached sweep points
-    repro-fig perf            # wall-clock kernel + model + figure benchmarks
     repro-fig fig1 --profile  # cProfile the run, top functions to stderr
 """
 
@@ -32,10 +31,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Regenerate tables/figures from the LCI-parcelport "
                     "paper inside the simulator.")
     parser.add_argument("figure",
-                        choices=sorted(FIGURES) + ["tables", "all", "perf",
-                                                   "tune"],
-                        help="which figure to regenerate ('perf' runs the "
-                             "wall-clock benchmark harness, 'tune' the "
+                        choices=sorted(FIGURES) + ["tables", "all", "tune"],
+                        help="which figure to regenerate ('tune' runs the "
                              "config auto-tuner; see docs/TUNING.md)")
     parser.add_argument("--full", action="store_true",
                         help="run the full (paper-scale) sweep instead of "
@@ -54,9 +51,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result cache even if --cache or "
                              "$REPRO_CACHE_DIR is set")
-    parser.add_argument("--bench-out", metavar="DIR", default=".",
-                        help="directory for the perf/tune harnesses' "
-                             "BENCH_*.json files (default: .)")
+    parser.add_argument("--bench-out", metavar="DIR", default=None,
+                        help="directory for the auto-tuner's BENCH_tune.json "
+                             "(default: .; only applies to 'tune')")
     parser.add_argument("--tune-workload", metavar="NAME", default=None,
                         choices=["message_rate", "fft", "serve"],
                         help="workload the auto-tuner searches over "
@@ -123,18 +120,15 @@ def _dispatch(args: argparse.Namespace,
     set_policy(jobs=args.jobs, cache_dir=args.cache,
                no_cache=args.no_cache)
 
-    if args.figure == "perf":
-        from .perfbench import run_perf
-        return run_perf(full=args.full, out_dir=args.bench_out,
-                        jobs=args.jobs)
-
     if args.figure == "tune":
         from ..adapt.tuner import run_tune
         return run_tune(workload=args.tune_workload,
-                        full=args.full, out_dir=args.bench_out,
+                        full=args.full, out_dir=args.bench_out or ".",
                         repeats=args.repeats)
     if args.tune_workload is not None:
         parser.error("--tune-workload only applies to tune")
+    if args.bench_out is not None:
+        parser.error("--bench-out only applies to tune")
 
     if args.faults is not None:
         try:

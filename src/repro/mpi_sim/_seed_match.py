@@ -4,14 +4,10 @@ Do not optimise or "fix" this module: it is the reference implementation
 the indexed matchers in :mod:`repro.mpi_sim.matching` are verified
 against.  ``SeedPostedQueue``/``SeedUnexpectedQueue`` wrap the exact
 pre-index scan loops (a plain list of requests, a deque of messages)
-behind the same queue API, so:
-
-* property tests (``tests/test_matching_property.py``) can drive both
-  implementations in lockstep and assert identical ``(match, scanned)``
-  pairs, and
-* the model benchmark harness (:mod:`repro.bench.seedpaths`) can swap
-  them into a live :class:`~repro.mpi_sim.comm.MpiComm` to time the
-  optimised paths against the seed behaviour.
+behind the same queue API, so the property tests
+(``tests/test_matching_property.py``) can drive both implementations in
+lockstep and assert identical ``(match, scanned)`` pairs.  Nothing in the
+runtime imports this module.
 """
 
 from __future__ import annotations

@@ -39,12 +39,6 @@ __all__ = ["MpiComm"]
 class MpiComm:
     """One rank's endpoint of the simulated MPI library."""
 
-    #: matching-queue factories — class attributes so the benchmark
-    #: harness (repro.bench.seedpaths) can swap in the frozen linear-scan
-    #: reference (repro.mpi_sim._seed_match) for live-vs-seed timing
-    posted_queue_cls = PostedQueue
-    unexpected_queue_cls = UnexpectedQueue
-
     def __init__(self, sim: Simulator, nic: Nic, rank: int,
                  params: MpiParams = DEFAULT_MPI_PARAMS):
         self.sim = sim
@@ -53,8 +47,8 @@ class MpiComm:
         self.params = params
         self.progress_lock = SpinLock(sim, f"mpi{rank}.progress",
                                       acquire_cost=params.lock_acquire_us)
-        self.posted = self.posted_queue_cls()
-        self.unexpected = self.unexpected_queue_cls()
+        self.posted = PostedQueue()
+        self.unexpected = UnexpectedQueue()
         self.unexpected_bytes = 0
         #: buffered RTS entries awaiting a matching receive — UCX revisits
         #: its pending-rendezvous queue on *every* progress call

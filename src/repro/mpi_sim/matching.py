@@ -19,10 +19,11 @@ insertion sequence number with one :func:`bisect.bisect_left` over the
 sorted live-sequence list (append-only at the tail, C-speed deletes), so a
 probe is O(log n + buckets) instead of O(n).
 
-The frozen linear-scan reference lives in :mod:`repro.mpi_sim._seed_match`;
-``tests/test_matching_property.py`` drives both in lockstep over randomized
-workloads (wildcards, cancels, duplicate/faulted arrivals) and asserts
-identical ``(match, scanned)`` pairs.
+The frozen linear-scan reference lives in :mod:`repro.mpi_sim._seed_match`,
+which only the tests import: ``tests/test_matching_property.py`` drives
+both in lockstep over randomized workloads (wildcards, cancels,
+duplicate/faulted arrivals) and asserts identical ``(match, scanned)``
+pairs.
 """
 
 from __future__ import annotations

@@ -504,11 +504,10 @@ class LciParcelport(Parcelport):
     def background_work(self, worker, rounds=None):
         """Generator → bool: up to ``poll_rounds`` background slices.
 
-        The round body is :meth:`_background_once` inlined — one generator
-        for the whole call instead of one per round — with the sub-polls
-        that yield nothing and charge nothing when idle (sync scan, flow
-        pump) elided at the call site, so idle polling stops churning
-        generator objects while the event schedule stays bit-identical.
+        One generator for the whole call rather than one per round.  The
+        sub-polls that yield nothing and charge nothing when idle
+        (sync scan, flow pump) are skipped at the call site, so an idle
+        round builds no generator for them.
         """
         did_any = False
         idle_rounds = 0
@@ -564,46 +563,6 @@ class LciParcelport(Parcelport):
                 if idle_rounds >= 2:
                     break
         return did_any
-
-    def _background_once(self, worker):
-        """One unguarded background round (the seed shape: every sub-poll
-        delegated unconditionally).  :meth:`background_work` inlines this
-        body; the frozen reference loop (repro.bench.seedpaths) still
-        drives it round-by-round."""
-        yield worker.cpu(self.cost.background_call_us)
-        did = False
-        if not self.reserves_progress_core:
-            # worker-progress mode: idle threads drive the LCI engines
-            for dev in self.devices:
-                n = yield from dev.progress(worker, caller=id(worker))
-                if n > 0:
-                    did = True
-        # Drain header completions (always a CQ — LCI put limitation).
-        if self.protocol == "psr":
-            for cq in self.header_cqs:
-                for _ in range(CQ_POPS_PER_SLICE):
-                    entry, pop_cost = cq.pop()
-                    yield worker.cpu(pop_cost)
-                    if entry is None:
-                        break
-                    yield from self._dispatch(worker, entry)
-                    did = True
-        # Drain chunk completions.
-        if self.completion == "cq":
-            for _ in range(CQ_POPS_PER_SLICE):
-                entry, pop_cost = self.comp_cq.pop()
-                yield worker.cpu(pop_cost)
-                if entry is None:
-                    break
-                yield from self._dispatch(worker, entry)
-                did = True
-        else:
-            did = (yield from self._scan_syncs(worker)) or did
-        if self.reliability is not None:
-            did = (yield from self._reliability_poll(worker)) or did
-        if self.flow is not None:
-            did = (yield from self._flow_pump(worker)) or did
-        return did
 
     def _scan_syncs(self, worker):
         """sy mode: round-robin test the pending synchronizer list.

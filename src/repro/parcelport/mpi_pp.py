@@ -289,11 +289,10 @@ class MpiParcelport(Parcelport):
     def background_work(self, worker, rounds=None):
         """Generator → bool: up to ``poll_rounds`` background slices.
 
-        The round body is :meth:`_background_once` inlined — one generator
-        for the whole call instead of one per round — with the sub-polls
-        that yield nothing and charge nothing when idle (pending scan,
-        flow pump) elided at the call site, so idle polling stops churning
-        generator objects while the event schedule stays bit-identical.
+        One generator for the whole call rather than one per round.  The
+        sub-polls that yield nothing and charge nothing when idle
+        (pending scan, flow pump) are skipped at the call site, so an idle
+        round builds no generator for them.
         """
         did_any = False
         idle_rounds = 0
@@ -333,31 +332,6 @@ class MpiParcelport(Parcelport):
                 if idle_rounds >= 2:
                     break
         return did_any
-
-    def _background_once(self, worker):
-        """One unguarded background round (the seed shape: every sub-poll
-        delegated unconditionally).  :meth:`background_work` inlines this
-        body; the frozen reference loop (repro.bench.seedpaths) still
-        drives it round-by-round."""
-        yield worker.cpu(self.cost.background_call_us)
-        did = False
-        if self._header_guard.try_acquire():
-            try:
-                did = (yield from self._check_header(worker)) or did
-                if self.original:
-                    did = (yield from self._check_release(worker)) or did
-                if self.reliability is not None:
-                    did = (yield from self._check_ack(worker)) or did
-            finally:
-                self._header_guard.release()
-        else:
-            yield from self.mpi.progress_only(worker)
-        did = (yield from self._scan_pending(worker)) or did
-        if self.reliability is not None:
-            did = (yield from self._reliability_poll(worker)) or did
-        if self.flow is not None:
-            did = (yield from self._flow_pump(worker)) or did
-        return did
 
     def _check_header(self, worker):
         req = self._header_req

@@ -1,15 +1,11 @@
 """Frozen pre-optimisation copy of the discrete-event kernel.
 
 This module is a verbatim snapshot of :mod:`repro.sim.core` as it stood
-before the fast-path rewrite (see docs/PERFORMANCE.md).  It exists for two
-reasons and must **not** be used by the runtime:
-
-* ``repro.bench.perfbench`` runs the same kernel microbenchmarks against
-  this baseline and the live kernel to report an apples-to-apples
-  events/sec speedup ratio in ``BENCH_kernel.json``.
-* ``tests/test_determinism_kernel.py`` replays identical workloads on both
-  kernels step-by-step and asserts the ``(time, priority, seq)`` schedules
-  are bit-identical — the determinism contract of the fast paths.
+before the fast-path rewrite (see docs/PERFORMANCE.md).  It is the
+stand-alone reference for ``tests/test_determinism_kernel.py``, which
+replays identical workloads on both kernels step-by-step and asserts the
+``(time, priority, seq)`` schedules are bit-identical — the determinism
+contract of the fast paths.  It must **not** be used by the runtime.
 
 Known seed-kernel quirks are preserved on purpose (the ``max_events``
 off-by-one and the interrupt-vs-completion races fixed in the live

@@ -213,16 +213,37 @@ def test_run_tune_smoke(tmp_path):
     assert names == {"lci_psr_cq_pin_i", "lci_psr_cq_pin_i+auto",
                      "lci_psr_cq_mt_i", "lci_psr_cq_mt_i+auto"}
     assert doc["winner"]["score"] > 0
-    from repro.bench.perfbench import validate_bench
+    from repro.adapt.tuner import validate_bench
     assert validate_bench(doc) == []
+
+
+COMMITTED_TUNE = Path(__file__).resolve().parent.parent / "BENCH_tune.json"
 
 
 def test_committed_tune_artifact_beats_baseline():
     """The checked-in BENCH_tune.json must validate and must record a
     tuned configuration that beats ``lci_psr_cq_pin_i``."""
-    path = Path(__file__).resolve().parent.parent / "BENCH_tune.json"
-    doc = json.loads(path.read_text())
-    from repro.bench.perfbench import validate_bench
+    doc = json.loads(COMMITTED_TUNE.read_text())
+    from repro.adapt.tuner import validate_bench
     assert validate_bench(doc) == []
     assert doc["winner"]["improvement_pct"] > 0
     assert doc["baseline"]["config"] == "lci_psr_cq_pin_i"
+
+
+@pytest.mark.parametrize("breaker, error", [
+    (lambda d: d.update(schema="repro-bench/0"),
+     "schema != 'repro-bench/1': 'repro-bench/0'"),
+    (lambda d: d.update(kind="models"), "kind != 'tune': 'models'"),
+    (lambda d: d["baseline"].pop("config"),
+     "tune doc missing baseline.config"),
+    (lambda d: d["rungs"][0]["kept"].append("mpi_i+nope"),
+     "rung 0: kept names not a subset of candidates: ['mpi_i+nope']"),
+    (lambda d: d["winner"].update(improvement_pct="68%"),
+     "winner: bad improvement_pct='68%'"),
+], ids=["schema", "kind", "baseline_config", "kept", "improvement_pct"])
+def test_validate_bench_reports_each_broken_field(breaker, error):
+    """One broken field of the committed artifact gives exactly its error."""
+    from repro.adapt.tuner import validate_bench
+    doc = json.loads(COMMITTED_TUNE.read_text())
+    breaker(doc)
+    assert validate_bench(doc) == [error]

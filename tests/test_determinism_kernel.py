@@ -65,6 +65,19 @@ def build_process_chain(sim, mod):
     sim.process(root(sim))
 
 
+def build_process_ping_pong(sim, mod):
+    # spawn/complete churn: each round pays a boot and a completion wake
+    def child(sim):
+        yield sim.timeout(0.1)
+        return 1
+    def parent(sim, k):
+        total = 0
+        for _ in range(k):
+            total += yield sim.process(child(sim))
+        assert total == k
+    sim.process(parent(sim, 60))
+
+
 def build_conditions(sim, mod):
     def waiter(sim):
         evs = [sim.timeout(float(i % 4)) for i in range(16)]
@@ -73,6 +86,18 @@ def build_conditions(sim, mod):
         assert first[1] is None
     for _ in range(6):
         sim.process(waiter(sim))
+
+
+def build_condition_rounds(sim, mod):
+    # round after round of 16-wide fan-ins; each AnyOf leaves its slower
+    # timeout pending while the next round's events are scheduled
+    def waiter(sim, rounds):
+        for _ in range(rounds):
+            evs = [sim.timeout(0.5 + (i % 3) * 0.25) for i in range(16)]
+            yield mod.AllOf(sim, evs)
+            yield mod.AnyOf(sim, [sim.timeout(1.0), sim.timeout(2.0)])
+    sim.process(waiter(sim, 8))
+    sim.process(waiter(sim, 5))
 
 
 def build_already_processed_resume(sim, mod):
@@ -134,10 +159,11 @@ def build_failing_processes(sim, mod):
     sim.process(guard(sim))
 
 
-WORKLOADS = [build_timeout_storm, build_process_chain, build_conditions,
-             build_already_processed_resume, build_schedule_call_chains,
-             build_interrupt_sleeping, build_urgent_ties,
-             build_failing_processes]
+WORKLOADS = [build_timeout_storm, build_process_chain,
+             build_process_ping_pong, build_conditions,
+             build_condition_rounds, build_already_processed_resume,
+             build_schedule_call_chains, build_interrupt_sleeping,
+             build_urgent_ties, build_failing_processes]
 
 
 @pytest.mark.parametrize("build", WORKLOADS,

@@ -278,6 +278,15 @@ def test_zero_plan_run_identical_to_no_plan(config):
 
     assert run(None) == run(FaultPlan())
 
+    # a parsed all-zero spec leaves a fig1 point's results alone too
+    from repro.bench.message_rate import MessageRateParams, run_message_rate
+    params = MessageRateParams(msg_size=8, batch=100, total_msgs=4000,
+                               inject_rate_kps=400.0)
+    base = run_message_rate(config, params, seed=1000)
+    zero = run_message_rate(config, params, seed=1000,
+                            fault_plan=FaultPlan.parse("drop=0,corrupt=0"))
+    assert zero.as_dict() == base.as_dict()
+
 
 def test_reliable_flag_without_faults_still_delivers():
     # The ack protocol alone (no losses) must not break anything.

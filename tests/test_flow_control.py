@@ -360,7 +360,7 @@ def test_overloaded_runs_are_deterministic(config):
     assert once() == once()
 
 
-@pytest.mark.parametrize("config", ["lci_psr_cq_pin_i", "mpi"])
+@pytest.mark.parametrize("config", ["lci_psr_cq_pin_i", "mpi", "mpi_i"])
 def test_flow_enabled_unloaded_run_is_byte_identical(config):
     """An armed-but-never-triggered policy must not change the timeline."""
     from repro.bench.latency import LatencyParams, run_latency

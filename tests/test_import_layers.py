@@ -27,8 +27,8 @@ FORBIDDEN_MODULES = (
     "repro.hpx_rt.collectives",
     "repro.obs.chrome_trace", "repro.obs.critical_path",
     "repro.obs.metrics",
-    "repro.bench.figures", "repro.bench.parallel", "repro.bench.perfbench",
-    "repro.bench.sweep", "repro.bench.validation", "repro.bench.seedpaths",
+    "repro.bench.figures", "repro.bench.parallel", "repro.bench.sweep",
+    "repro.bench.validation",
 )
 
 LAZY_PACKAGES = ("repro.bench", "repro.apps", "repro.obs", "repro.hpx_rt")

@@ -110,10 +110,11 @@ def test_latency_byte_identical_with_tracing(cfg):
 
 def test_message_rate_byte_identical_with_tracing():
     params = MessageRateParams(msg_size=8, batch=50, total_msgs=500)
-    base = run_message_rate(MPI_CFG, params, trace=None)
-    traced = run_message_rate(MPI_CFG, params, trace="all")
-    assert traced.as_dict() == base.as_dict()
-    assert traced.comm_time_us == base.comm_time_us
+    for cfg in (MPI_CFG, LCI_CFG):
+        base = run_message_rate(cfg, params, trace=None)
+        traced = run_message_rate(cfg, params, trace="all")
+        assert traced.as_dict() == base.as_dict(), cfg
+        assert traced.comm_time_us == base.comm_time_us, cfg
 
 
 # ---------------------------------------------------------------------------

@@ -235,8 +235,8 @@ def test_repeat_seed_ladder_pinned():
     from repro.bench.seeds import REPEAT_BASE, REPEAT_STEP, repeat_seeds
 
     # The historical inline sequence every committed figure was
-    # generated with: 1000 + i*7919.  Pinned so the migrations in
-    # bench/sweep.py and bench/perfbench.py stay bit-exact.
+    # generated with: 1000 + i*7919.  Pinned so the migration in
+    # bench/sweep.py stays bit-exact.
     assert (REPEAT_BASE, REPEAT_STEP) == (1000, 7919)
     assert repeat_seeds(3) == [1000, 8919, 16838]
     assert repeat_seeds(1) == [1000]

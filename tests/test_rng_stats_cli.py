@@ -111,6 +111,15 @@ def test_cli_rejects_unknown_figure():
         cli_main(["fig99"])
 
 
+@pytest.mark.parametrize("flag", [["--bench-out", "out"],
+                                  ["--tune-workload", "fft"]])
+def test_cli_rejects_tune_flags_outside_tune(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["tables"] + flag)
+    assert exc.value.code == 2
+    assert f"{flag[0]} only applies to tune" in capsys.readouterr().err
+
+
 def test_cli_help_lists_figures(capsys):
     with pytest.raises(SystemExit):
         cli_main(["--help"])

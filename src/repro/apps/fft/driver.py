@@ -145,8 +145,7 @@ class FftDriver:
     def run(self, max_events: Optional[int] = None) -> FftResult:
         self._latch = Latch(self.rt.sim, self.p)
         for lid in range(self.p):
-            self.rt.locality(lid).spawn(self._make_task(lid),
-                                        name=f"fft_L{lid}")
+            self.rt.locality(lid).spawn(self._make_task(lid))
         self.rt.run_until(self._latch, max_events=max_events)
         if not self._latch.open:
             raise RuntimeError("FFT run did not complete (event budget "

@@ -146,8 +146,7 @@ class DistributedBfs:
             # run one level on every locality
             latch = rt.new_latch(self.n_loc)
             for lid in range(self.n_loc):
-                rt.locality(lid).spawn(self._make_level_task(lid, latch),
-                                       name=f"bfs_lvl{levels}")
+                rt.locality(lid).spawn(self._make_level_task(lid, latch))
             yield latch.wait()
             # settle: barrier (everyone finished sending), then drain
             # until every sent visit has been received

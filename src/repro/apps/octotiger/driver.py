@@ -49,9 +49,13 @@ class OctoTigerDriver:
                  config: Optional[OctoTigerConfig] = None):
         self.rt = runtime
         self.config = config or OctoTigerConfig()
-        #: argument sizes of every ghost-zone exchange: one tuple, shared
-        #: by all boundary parcels instead of one copy per parcel
+        #: argument sizes of every ghost-zone exchange, M2M, L2L and
+        #: migration parcel: one tuple each, shared by all parcels of that
+        #: kind instead of one copy per parcel
         self._boundary_sizes = (self.config.boundary_bytes,)
+        self._m2m_sizes = (self.config.m2m_bytes,)
+        self._l2l_sizes = (self.config.l2l_bytes,)
+        self._migrate_sizes = (self.config.migrate_bytes,)
         self._phase = 0.0
         self.regrids = 0
         self.migrated_leaves = 0
@@ -75,6 +79,9 @@ class OctoTigerDriver:
         self.model = FmmModel(self.tree, len(self.rt.localities),
                               substeps=self.config.substeps,
                               fields=self.config.boundary_fields)
+        #: ``(nid,)`` argument tuple of each node, shared by every parcel
+        #: addressed to that node instead of one tuple per ``apply``
+        self._nid_args = [(node.nid,) for node in self.tree.nodes]
         # Per-step mutable state (reset each step).
         self._boundary_count: Dict[int, int] = {}
         self._child_count: Dict[int, int] = {}
@@ -102,7 +109,7 @@ class OctoTigerDriver:
             self._step_latch = Latch(self.rt.sim, len(self.tree.leaves))
             for lid, leaves in self.model.leaves_of.items():
                 loc = self.rt.locality(lid)
-                loc.spawn(self._make_kicker(leaves), name=f"ot_kick{step}")
+                loc.spawn(self._kick, leaves)
             yield self._step_latch.wait()
             step_times.append(self.rt.now - t0)
         census = self.model.census()
@@ -134,86 +141,65 @@ class OctoTigerDriver:
         if not moves:
             return
         latch = Latch(self.rt.sim, len(moves))
-
-        def make_migration(src, dst):
-            def migrate(worker):
-                yield from worker.locality.apply(
-                    worker, dst, "ot_migrate", (0,),
-                    arg_sizes=[cfg.migrate_bytes])
-            return migrate
-
         self._migrate_latch = latch
         for src, dst in moves:
-            self.rt.locality(src).spawn(make_migration(src, dst),
-                                        name="ot_migrate")
+            self.rt.locality(src).spawn(self._migrate, dst)
         yield latch.wait()
+
+    def _migrate(self, worker, dst: int):
+        yield from worker.locality.apply(
+            worker, dst, "ot_migrate", (0,), arg_sizes=self._migrate_sizes)
 
     def _act_migrate(self, worker, _token: int):
         self._migrate_latch.count_down()
         return None
 
     # ------------------------------------------------------------------
-    # task bodies
+    # task bodies: bound methods spawned with one argument (a node or a
+    # locality's leaf list), so a queued task holds no per-task closure
     # ------------------------------------------------------------------
-    def _make_kicker(self, leaves):
-        def kicker(worker):
-            for leaf in leaves:
-                yield worker.cpu(self.rt.cost.task_spawn_us)
-                worker.locality.spawn(self._make_leaf_work(leaf),
-                                      name="ot_leaf")
-        return kicker
+    def _kick(self, worker, leaves):
+        spawn_us = self.rt.cost.task_spawn_us
+        for leaf in leaves:
+            yield worker.cpu(spawn_us)
+            worker.locality.spawn(self._leaf_work, leaf)
 
-    def _make_leaf_work(self, leaf):
+    def _leaf_work(self, worker, leaf):
         cfg = self.config
+        nid_args = self._nid_args
+        # Runge-Kutta substeps: compute then exchange ghost zones with
+        # every face neighbour, `substeps` times per step.
+        for _sub in range(cfg.substeps):
+            yield from worker.compute_granular(
+                cfg.leaf_compute_us / cfg.substeps)
+            for nbr_nid in self.model.neighbors[leaf.nid]:
+                nbr = self.tree.node(nbr_nid)
+                for _f in range(cfg.boundary_fields):
+                    yield from worker.locality.apply(
+                        worker, nbr.owner, "ot_boundary", nid_args[nbr_nid],
+                        arg_sizes=self._boundary_sizes)
+        if not self.model.expected_boundary[leaf.nid]:
+            # Degenerate (single-leaf) tree: no inputs to wait for.
+            worker.locality.spawn(self._update, leaf)
 
-        def leaf_work(worker):
-            # Runge-Kutta substeps: compute then exchange ghost zones with
-            # every face neighbour, `substeps` times per step.
-            for _sub in range(cfg.substeps):
-                yield from worker.compute_granular(
-                    cfg.leaf_compute_us / cfg.substeps)
-                for nbr_nid in self.model.neighbors[leaf.nid]:
-                    nbr = self.tree.node(nbr_nid)
-                    for _f in range(cfg.boundary_fields):
-                        yield from worker.locality.apply(
-                            worker, nbr.owner, "ot_boundary", (nbr_nid,),
-                            arg_sizes=self._boundary_sizes)
-            if not self.model.expected_boundary[leaf.nid]:
-                # Degenerate (single-leaf) tree: no inputs to wait for.
-                worker.locality.spawn(self._make_update(leaf),
-                                      name="ot_update")
-        return leaf_work
+    def _update(self, worker, leaf):
+        yield from worker.compute_granular(self.config.update_compute_us)
+        yield from self._contribute_up(worker, leaf)
 
-    def _make_update(self, leaf):
-        cfg = self.config
+    def _interior(self, worker, node):
+        yield from worker.compute_granular(self.config.interior_compute_us)
+        if node.parent is None:
+            # Root aggregated: start the L2L down pass.
+            yield from self._push_down(worker, node)
+        else:
+            yield from self._contribute_up(worker, node)
 
-        def update(worker):
-            yield from worker.compute_granular(cfg.update_compute_us)
-            yield from self._contribute_up(worker, leaf)
-        return update
-
-    def _make_interior(self, node):
-        cfg = self.config
-
-        def interior(worker):
-            yield from worker.compute_granular(cfg.interior_compute_us)
-            if node.parent is None:
-                # Root aggregated: start the L2L down pass.
-                yield from self._push_down(worker, node)
-            else:
-                yield from self._contribute_up(worker, node)
-        return interior
-
-    def _make_down(self, node):
-        cfg = self.config
-
-        def down(worker):
-            yield from worker.compute_granular(cfg.l2l_compute_us)
-            if node.is_leaf:
-                self._step_latch.count_down()
-            else:
-                yield from self._push_down(worker, node)
-        return down
+    def _down(self, worker, node):
+        yield from worker.compute_granular(self.config.l2l_compute_us)
+        if node.is_leaf:
+            self._step_latch.count_down()
+        else:
+            yield from self._push_down(worker, node)
 
     # ------------------------------------------------------------------
     # dataflow plumbing
@@ -224,32 +210,29 @@ class OctoTigerDriver:
             self._count_m2m(parent.nid)
         else:
             yield from worker.locality.apply(
-                worker, parent.owner, "ot_m2m", (parent.nid,),
-                arg_sizes=[self.config.m2m_bytes])
+                worker, parent.owner, "ot_m2m", self._nid_args[parent.nid],
+                arg_sizes=self._m2m_sizes)
 
     def _push_down(self, worker, node):
         for child in node.children:
             if child.owner == worker.locality.lid:
-                self.rt.locality(child.owner).spawn(
-                    self._make_down(child), name="ot_down")
+                self.rt.locality(child.owner).spawn(self._down, child)
             else:
                 yield from worker.locality.apply(
-                    worker, child.owner, "ot_l2l", (child.nid,),
-                    arg_sizes=[self.config.l2l_bytes])
+                    worker, child.owner, "ot_l2l", self._nid_args[child.nid],
+                    arg_sizes=self._l2l_sizes)
 
     def _count_boundary(self, nid: int) -> None:
         self._boundary_count[nid] += 1
         if self._boundary_count[nid] == self.model.expected_boundary[nid]:
             leaf = self.tree.node(nid)
-            self.rt.locality(leaf.owner).spawn(self._make_update(leaf),
-                                               name="ot_update")
+            self.rt.locality(leaf.owner).spawn(self._update, leaf)
 
     def _count_m2m(self, nid: int) -> None:
         self._child_count[nid] += 1
         if self._child_count[nid] == self.model.expected_children[nid]:
             node = self.tree.node(nid)
-            self.rt.locality(node.owner).spawn(self._make_interior(node),
-                                               name="ot_interior")
+            self.rt.locality(node.owner).spawn(self._interior, node)
 
     # ------------------------------------------------------------------
     # actions (remote entry points)
@@ -263,6 +246,5 @@ class OctoTigerDriver:
         return None
 
     def _act_l2l(self, worker, nid: int):
-        node = self.tree.node(nid)
-        worker.locality.spawn(self._make_down(node), name="ot_down")
+        worker.locality.spawn(self._down, self.tree.node(nid))
         return None

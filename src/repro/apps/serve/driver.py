@@ -281,7 +281,7 @@ class ServeDriver:
             dt = req.t_arrive - sim.now
             if dt > 0.0:
                 yield sim.timeout(dt)
-            gateway.spawn(self._make_client_task(req), name="serve_client")
+            gateway.spawn(self._make_client_task(req))
             self.stats.inc("requests_offered")
         if False:  # pragma: no cover - keeps this a generator when empty
             yield

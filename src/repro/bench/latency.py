@@ -119,7 +119,7 @@ def run_latency(config: "PPConfig | str", params: LatencyParams,
                                             arg_sizes=[size])
 
     rt.boot()
-    rt.locality(0).spawn(starter, name="latency_start")
+    rt.locality(0).spawn(starter)
     rt.run_until(done, max_events=p.max_events)
     return LatencyResult(config=config.label, params=p,
                          total_time_us=sim.now,

@@ -176,7 +176,7 @@ def run_message_rate(config: "PPConfig | str", params: MessageRateParams,
         else:
             interval_us = 0.0
         for i in range(n_tasks):
-            sender.spawn(make_task(), name="inject")
+            sender.spawn(make_task())
             if interval_us:
                 yield sim.timeout(interval_us)
         if False:  # pragma: no cover - keeps this a generator when rate=None

@@ -188,7 +188,7 @@ class Collectives:
                         (op_id, gen, results[lid]),
                         arg_sizes=[8, 8, out_size])
 
-        worker.locality.spawn(fanout, name=f"{op_id}_fanout")
+        worker.locality.spawn(fanout)
         return None
 
     def _act_release(self, worker, op_id: str, gen: int, result: Any):

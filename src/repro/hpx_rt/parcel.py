@@ -41,7 +41,8 @@ class Parcel:
     args: Tuple[Any, ...] = ()
     arg_sizes: Tuple[int, ...] = ()
     #: trace correlation id, drawn from the owning runtime's per-run
-    #: counter (0 for a parcel built outside a runtime)
+    #: counter only while that runtime traces; 0 for an untraced parcel
+    #: or one built outside a runtime
     pid: int = 0
 
     def __post_init__(self) -> None:

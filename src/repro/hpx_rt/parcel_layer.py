@@ -252,7 +252,7 @@ class ParcelLayer:
 
     def _spawn_drain(self, dest: int) -> None:
         """Schedule a pump of the ``dest`` queue as its own task."""
-        self.locality.spawn(self._pump, "pp_drain", dest)
+        self.locality.spawn(self._pump, dest)
 
     def _shed(self, parcel: Parcel) -> None:
         """Overload-shed one parcel (bounded sample + app-visible failure)."""
@@ -275,7 +275,7 @@ class ParcelLayer:
         nesting depth when the parcel queue is continuously refilled, and
         matches HPX handing continuation work back to the scheduler.
         """
-        self.locality.spawn(self._drain_into, "pp_drain", conn)
+        self.locality.spawn(self._drain_into, conn)
         return None
 
     def _recycle(self, worker: "Worker", conn):
@@ -344,7 +344,7 @@ class ParcelLayer:
     def spawn_flush(self, dest: int) -> None:
         """Schedule a pump for ``dest`` (ends an aggregation hold)."""
         self.stats.inc("adapt_flushes")
-        self.locality.spawn(self._pump, "adapt_flush", dest)
+        self.locality.spawn(self._pump, dest)
 
     # -- introspection -------------------------------------------------------
     def queued_parcels(self, dest: Optional[int] = None) -> int:

@@ -55,10 +55,10 @@ class Locality:
         self.stats = StatSet(f"L{lid}")
 
     # -- tasking ------------------------------------------------------------
-    def spawn(self, fn: Callable, name: str = "", arg: Any = NO_ARG) -> None:
+    def spawn(self, fn: Callable, arg: Any = NO_ARG) -> None:
         """Enqueue a task: ``fn(worker)``, or ``fn(worker, arg)`` when
         ``arg`` is given; either returns a generator or None."""
-        self.sched.push(Task(fn, name, arg))
+        self.sched.push(Task(fn, arg))
 
     # -- remote invocation -------------------------------------------------
     def apply(self, worker: Worker, dest: int, action: str,
@@ -74,15 +74,17 @@ class Locality:
         if action not in runtime.actions:
             raise KeyError(f"unregistered action {action!r}")
         yield worker.cpu(self.cost.parcel_create_us)
+        obs = runtime.obs
+        # Only a traced run numbers its parcels: ``pid`` is read by trace
+        # records alone, and an untraced parcel keeps the default 0.
         parcel = Parcel(action, dest, self.lid, args,
                         () if arg_sizes is None else tuple(arg_sizes),
-                        next(runtime.parcel_ids))
+                        0 if obs is None else next(runtime.parcel_ids))
         self.stats.inc("parcels_created")
         if dest == self.lid:
             # Local invocation: HPX short-circuits the network entirely.
             self._spawn_parcel_task(parcel)
             return
-        obs = self.runtime.obs
         if obs is not None:
             obs.instant("parcel", "submit", loc=self.lid, tid=worker.name,
                         pid=parcel.pid, dest=dest, action=action)
@@ -90,12 +92,15 @@ class Locality:
 
     # -- receive upcall (called by the parcelport) ---------------------------
     def on_message(self, msg: HpxMessage) -> None:
-        """Deliver a fully-received HPX message: decode + run its actions."""
+        """Deliver a fully-received HPX message: decode + run its actions.
+
+        The message queues as itself; a worker that pops it runs
+        :meth:`_decode`."""
         self.stats.inc("messages_received")
-        self.spawn(self._decode, "decode", msg)
+        self.sched.push(msg)
 
     def _decode(self, worker: Worker, msg: HpxMessage):
-        """Task body: deserialize ``msg`` and spawn one task per parcel."""
+        """Task body: deserialize ``msg`` and queue each of its parcels."""
         cost = self.cost
         yield worker.cpu(deserialize_cost(msg, cost))
         for parcel in msg.parcels:
@@ -103,8 +108,10 @@ class Locality:
             self._spawn_parcel_task(parcel)
 
     def _spawn_parcel_task(self, parcel: Parcel) -> None:
+        """Queue ``parcel`` for execution: the parcel is its own queue
+        entry, and a worker that pops it runs :meth:`_run_action`."""
         self.stats.inc("parcels_executed")
-        self.spawn(self._run_action, parcel.action, parcel)
+        self.sched.push(parcel)
 
     def _run_action(self, worker: Worker, parcel: Parcel):
         """Task body: dispatch ``parcel`` to its registered action."""
@@ -175,7 +182,8 @@ class HpxRuntime:
         self.actions: Dict[str, Callable] = {}
         #: per-run id counters for parcels and HPX messages (the trace
         #: correlation keys ``pid`` and ``mid``): two identical runs in
-        #: one process number them, and so export them, identically
+        #: one process number them, and so export them, identically.
+        #: ``pid`` is drawn only while this runtime traces.
         self.parcel_ids = itertools.count()
         self.message_ids = itertools.count()
         self.running = True

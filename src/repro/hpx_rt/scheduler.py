@@ -18,17 +18,23 @@ cycles) is unscaled.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, TYPE_CHECKING
+from typing import Deque, Optional, TYPE_CHECKING, Union
 
 from ..sim.core import AnyOf, Event, Simulator
 from ..sim.primitives import SpinLock
 from ..sim.stats import StatSet
+from .parcel import HpxMessage, Parcel
 from .task import NO_ARG, Task
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Locality
 
 __all__ = ["Scheduler", "Worker"]
+
+#: what the task queue holds: a parcel to execute and a received message
+#: to decode queue as themselves (one object each); anything else is a
+#: :class:`Task`
+QueueEntry = Union[Task, Parcel, HpxMessage]
 
 
 class Scheduler:
@@ -37,7 +43,7 @@ class Scheduler:
     def __init__(self, sim: Simulator, name: str = "sched"):
         self.sim = sim
         self.name = name
-        self._queue: Deque[Task] = deque()
+        self._queue: Deque[QueueEntry] = deque()
         self._sleepers: Deque[Event] = deque()
         #: lazily tombstoned sleeper events: unregistering is O(1) set-add
         #: instead of deque.remove's O(n); entries are reclaimed at the
@@ -46,12 +52,12 @@ class Scheduler:
         self.stats = StatSet(name)
 
     # -- task queue -------------------------------------------------------
-    def push(self, task: Task) -> None:
-        self._queue.append(task)
+    def push(self, entry: QueueEntry) -> None:
+        self._queue.append(entry)
         self.stats.inc("tasks_pushed")
         self.notify()
 
-    def try_pop(self) -> Optional[Task]:
+    def try_pop(self) -> Optional[QueueEntry]:
         if self._queue:
             self.stats.inc("tasks_popped")
             return self._queue.popleft()
@@ -170,19 +176,28 @@ class Worker:
         self.sim.process(self._run(), name=self.name)
 
     def _run(self):
-        sched = self.locality.sched
+        loc = self.locality
+        sched = loc.sched
         cost = self.cost
-        rt = self.locality.runtime
+        rt = loc.runtime
+        run_action = loc._run_action
+        decode = loc._decode
         backoff = cost.idle_poll_min_us
         since_bg = 0
         while rt.running:
-            task = sched.try_pop()
-            if task is not None:
+            entry = sched.try_pop()
+            if entry is not None:
                 yield self.cpu(cost.task_dispatch_us)
                 self.stats.inc("tasks_run")
-                arg = task.arg
-                body = (task.fn(self) if arg is NO_ARG
-                        else task.fn(self, arg))
+                cls = entry.__class__
+                if cls is Parcel:
+                    body = run_action(self, entry)
+                elif cls is HpxMessage:
+                    body = decode(self, entry)
+                elif entry.arg is NO_ARG:
+                    body = entry.fn(self)
+                else:
+                    body = entry.fn(self, entry.arg)
                 if body is not None:
                     yield from body
                 backoff = cost.idle_poll_min_us

@@ -6,10 +6,14 @@ generator, the worker drives it (the body can ``yield`` simulator events,
 e.g. ``worker.cpu(...)`` or a future's ``wait()``); a plain callable models
 a zero-internal-wait task.
 
-Runtime-internal tasks (parcel execution, message decode, parcel-queue
-drains) all take the argument form with a bound method as ``fn``: a queued
-task then costs the slotted :class:`Task`, the bound method and the
-argument it already had, with no per-task closure, cell or defaults tuple.
+The two most frequent kinds of runtime work need no :class:`Task` at all:
+a parcel to execute and a received HPX message to decode sit on the
+scheduler queue as the :class:`~repro.hpx_rt.parcel.Parcel` or
+:class:`~repro.hpx_rt.parcel.HpxMessage` itself, and the worker dispatches
+on the entry's class.  Other runtime-internal tasks (parcel-queue drains)
+take the argument form with a bound method as ``fn``: a queued task then
+costs the slotted :class:`Task`, the bound method and the argument it
+already had, with no per-task closure, cell or defaults tuple.
 """
 
 from __future__ import annotations
@@ -25,12 +29,11 @@ NO_ARG: Any = object()
 class Task:
     """One unit of work for a worker thread."""
 
-    __slots__ = ("fn", "name", "arg")
+    __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: Callable, name: str = "", arg: Any = NO_ARG):
+    def __init__(self, fn: Callable, arg: Any = NO_ARG):
         self.fn = fn
-        self.name = name or getattr(fn, "__name__", "task")
         self.arg = arg
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Task {self.name}>"
+        return f"<Task {self.fn!r}>"

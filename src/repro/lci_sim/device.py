@@ -21,7 +21,6 @@ pressure, per the paper's profiling of the ``mt`` configurations.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict, deque
 from typing import Any, Deque, Dict, Optional
 
@@ -37,14 +36,11 @@ from .params import DEFAULT_LCI_PARAMS, LciParams
 
 __all__ = ["LciDevice", "LciOp"]
 
-_op_ids = itertools.count()
-
 
 class LciOp:
     """State of one pending LCI operation (send or receive)."""
 
-    __slots__ = ("kind", "peer", "size", "tag", "comp", "ctx", "oid",
-                 "payload")
+    __slots__ = ("kind", "peer", "size", "tag", "comp", "ctx", "payload")
 
     def __init__(self, kind: str, peer: int, size: int, tag: int,
                  comp, ctx: Any = None, payload: Any = None):
@@ -55,10 +51,9 @@ class LciOp:
         self.comp = comp
         self.ctx = ctx
         self.payload = payload
-        self.oid = next(_op_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<LciOp#{self.oid} {self.kind} tag={self.tag} {self.size}B>"
+        return f"<LciOp {self.kind} tag={self.tag} {self.size}B>"
 
 
 class _CallerMeter:

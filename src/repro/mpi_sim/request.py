@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
 
 __all__ = ["Request", "ANY_SOURCE", "ANY_TAG"]
@@ -11,8 +10,6 @@ __all__ = ["Request", "ANY_SOURCE", "ANY_TAG"]
 ANY_SOURCE = -1
 #: wildcard tag (MPI_ANY_TAG)
 ANY_TAG = -1
-
-_req_ids = itertools.count()
 
 
 class Request:
@@ -29,8 +26,8 @@ class Request:
     :meth:`~repro.mpi_sim.comm.MpiComm.cancel`.
     """
 
-    __slots__ = ("kind", "peer", "size", "tag", "done", "value", "rid",
-                 "ctx", "posted_t", "complete_t", "error", "cancelled")
+    __slots__ = ("kind", "peer", "size", "tag", "done", "value", "ctx",
+                 "posted_t", "complete_t", "error", "cancelled")
 
     def __init__(self, kind: str, peer: int, size: int, tag: int,
                  ctx: Any = None):
@@ -41,7 +38,6 @@ class Request:
         self.done = False
         self.value: Any = None
         self.ctx = ctx
-        self.rid = next(_req_ids)
         self.posted_t = 0.0
         self.complete_t = 0.0
         self.error: Optional[Exception] = None
@@ -59,5 +55,5 @@ class Request:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.done else "pending"
-        return (f"<Req#{self.rid} {self.kind} peer={self.peer} "
+        return (f"<Req {self.kind} peer={self.peer} "
                 f"tag={self.tag} {self.size}B {state}>")

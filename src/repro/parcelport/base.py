@@ -28,20 +28,24 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Connection", "Parcelport", "DetachedWorker"]
 
-_conn_ids = itertools.count()
-
 
 class Connection:
-    """Per-HPX-message chain state (sender or receiver role)."""
+    """Per-HPX-message chain state (sender or receiver role).
+
+    ``cid`` comes from the owning parcelport's counter, so two identical
+    runs in one process number their connections alike; the reliability
+    layer breaks receive-expiry ties by it, so only its order within one
+    parcelport matters.
+    """
 
     __slots__ = ("dest", "role", "msg", "plan", "stage", "tag_raw", "tag",
                  "on_complete", "cur", "cid", "piggy_bytes", "src",
                  "seq", "aborted", "last_active")
 
-    def __init__(self, dest: int, role: str = "send"):
+    def __init__(self, dest: int, role: str = "send", cid: int = 0):
         self.dest = dest
         self.role = role                   # "send" | "recv"
-        self.cid = next(_conn_ids)
+        self.cid = cid
         self.reset()
 
     def reset(self) -> None:
@@ -103,6 +107,8 @@ class Parcelport(abc.ABC):
         self.cost = locality.cost
         self.nic = locality.nic
         self.stats = StatSet(f"L{locality.lid}.pp")
+        #: numbers this parcelport's connections (``Connection.cid``)
+        self._conn_ids = itertools.count()
         # One background call stands in for `thread_weight` physical
         # threads' worth of polling (see PlatformSpec docs).
         self.poll_rounds = max(1, round(locality.platform.thread_weight))
@@ -145,7 +151,7 @@ class Parcelport(abc.ABC):
     # -- upper-layer interface ------------------------------------------------
     def make_connection(self, dest: int) -> Connection:
         """A fresh (or recycled by the caller) sender connection."""
-        return Connection(dest, role="send")
+        return Connection(dest, "send", next(self._conn_ids))
 
     @abc.abstractmethod
     def send_message(self, worker: Worker, conn: Connection,

@@ -340,7 +340,7 @@ class LciParcelport(Parcelport):
             # copy-out (unlike the MPI parcelport's header path).
             yield from self._complete_receive(worker, msg, seq)
             return
-        conn = Connection(msg.src, role="recv")
+        conn = Connection(msg.src, "recv", next(self._conn_ids))
         conn.msg = msg
         conn.plan = list(followups)
         conn.tag_raw = tag_raw

@@ -193,7 +193,7 @@ class MpiParcelport(Parcelport):
                 # (retransmissions included) consumed one draw.
                 yield from self._send_release(worker, msg.src, tag)
             return
-        conn = Connection(msg.src, role="recv")
+        conn = Connection(msg.src, "recv", next(self._conn_ids))
         conn.msg = msg
         conn.plan = list(followups)
         conn.tag = tag

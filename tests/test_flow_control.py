@@ -202,13 +202,13 @@ def _run_flow(config, plan=None, flow=None, n=40, seed=11, size=8,
             def one(worker, i=i):
                 yield from loc0.apply(worker, 1, "sink", (i,),
                                       arg_sizes=[size])
-            loc0.spawn(one, name="inject")
+            loc0.spawn(one)
     else:
         def sender(worker):
             for i in range(n):
                 yield from loc0.apply(worker, 1, "sink", (i,),
                                       arg_sizes=[size])
-        loc0.spawn(sender, name="inject")
+        loc0.spawn(sender)
     if sampler is not None:
         def tick():
             sampler(rt)

@@ -6,7 +6,8 @@ import tracemalloc
 import pytest
 
 from repro import LAPTOP, make_runtime
-from repro.hpx_rt import EXPANSE, Future, Latch, ROSTAM, platform_by_name
+from repro.hpx_rt import (EXPANSE, Future, Latch, Parcel, ROSTAM,
+                          platform_by_name, serialize_parcels)
 from repro.hpx_rt.scheduler import Worker
 from repro.sim import Simulator
 
@@ -294,9 +295,9 @@ def test_aggregation_preserves_parcel_multiset():
 
 
 def test_queued_parcel_task_footprint():
-    """A queued local parcel task is a slotted Task holding a bound-method
-    body and its Parcel: at most 3 GC-tracked objects and 400 B each, and
-    no per-task nested function (Octo-Tiger queues ~62 k of these)."""
+    """A queued local parcel is its own scheduler-queue entry: one
+    GC-tracked object and at most 200 B each, with no Task, bound method
+    or trace id beside it (Octo-Tiger queues ~60 k of these)."""
     n = 20_000
     rt = make_runtime("lci_psr_cq_pin_i", platform=LAPTOP, n_localities=2)
     rt.register_action("noop", lambda worker, x: None)
@@ -320,10 +321,41 @@ def test_queued_parcel_task_footprint():
         tracemalloc.stop()
     objects = len(gc.get_objects()) - objects0
     assert loc.sched.pending() == n + 100
-    assert objects / n < 3.01, objects / n  # slack: incidental objects
-    assert nbytes / n <= 400, nbytes / n
-    tasks = [loc.sched.try_pop() for _ in range(n + 100)]
-    assert not [t for t in tasks if "<locals>" in t.fn.__qualname__]
+    assert objects / n < 1.01, objects / n  # slack: incidental objects
+    assert nbytes / n <= 200, nbytes / n
+    entries = [loc.sched.try_pop() for _ in range(n + 100)]
+    assert all(type(e) is Parcel for e in entries)
+    assert [e.args for e in entries[100:]] == [(i,) for i in range(n)]
+    # untraced: no trace id is drawn
+    assert rt.obs is None and all(e.pid == 0 for e in entries)
+
+
+def test_worker_runs_tasks_parcels_and_messages_in_fifo_order():
+    """Tasks, local parcels and received HPX messages share one FIFO
+    queue: the worker runs each body once, in push order, and a message's
+    parcels queue when its decode runs."""
+    one_core = LAPTOP.with_(phys_cores_per_node=1, sim_cores_per_node=1)
+    rt = make_runtime("mpi_i", platform=one_core, n_localities=2)
+    ran = []
+    done = rt.new_latch(5)
+
+    def record(worker, tag):
+        ran.append(tag)
+        done.count_down()
+
+    rt.register_action("record", record)
+    rt.boot()
+    loc = rt.locality(0)
+    loc.spawn(record, "task")
+    loc.sched.push(Parcel("record", dest=0, src=0, args=("parcel",)))
+    loc.on_message(serialize_parcels(
+        [Parcel("record", dest=0, src=1, args=(tag,)) for tag in ("m0", "m1")],
+        rt.cost))
+    loc.spawn(record, "after")
+    rt.run_until(done)
+    assert ran == ["task", "parcel", "after", "m0", "m1"]
+    assert [w.stats.counters["tasks_run"] for w in loc.workers] == [6]
+    assert loc.sched.pending() == 0
 
 
 def test_custom_fabric_factory():

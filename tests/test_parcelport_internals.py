@@ -148,6 +148,26 @@ def test_full_stack_determinism(config):
     assert t1 == t2
 
 
+@pytest.mark.parametrize("config", ["lci_psr_cq_pin_i", "mpi_i"])
+def test_connection_ids_are_per_run(config):
+    """Each parcelport numbers its own connections: two fresh runtimes in
+    one process give their first connections the same ``cid``, and two
+    identical runs leave their counters at the same place."""
+    def first_cids():
+        rt = make_runtime(config, platform=LAPTOP, n_localities=2)
+        rt.boot()
+        return [loc.parcelport.make_connection(1 - loc.lid).cid
+                for loc in rt.localities]
+
+    def next_cids():
+        rt = run_n(config, [8, 20000, 64], seed=7)
+        return [loc.parcelport.make_connection(1 - loc.lid).cid
+                for loc in rt.localities]
+
+    assert first_cids() == first_cids()
+    assert next_cids() == next_cids()
+
+
 def test_seed_changes_are_isolated_to_workload_noise():
     # communication path itself is deterministic; different seeds only
     # matter where workloads draw jitter (none in this echo) -> equal

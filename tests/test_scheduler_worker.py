@@ -16,9 +16,9 @@ def test_scheduler_fifo_order():
     sim = Simulator()
     sched = Scheduler(sim)
     for i in range(3):
-        sched.push(Task(lambda w: None, name=f"t{i}"))
-    names = [sched.try_pop().name for _ in range(3)]
-    assert names == ["t0", "t1", "t2"]
+        sched.push(Task(lambda w, i: None, i))
+    args = [sched.try_pop().arg for _ in range(3)]
+    assert args == [0, 1, 2]
     assert sched.try_pop() is None
     assert sched.stats.counters["tasks_pushed"] == 3
 

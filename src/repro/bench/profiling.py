@@ -34,7 +34,7 @@ def runtime_breakdown(rt: HpxRuntime) -> Dict[str, float]:
     }
     for loc in rt.localities:
         for w in loc.workers:
-            out["worker_cpu_us"] += w.stats.accum.get("cpu_us", 0.0)
+            out["worker_cpu_us"] += w.cpu_us
             out["worker_compute_us"] += w.stats.accum.get("compute_us", 0.0)
             out["worker_lock_wait_us"] += w.stats.accum.get(
                 "lock_wait_us", 0.0)

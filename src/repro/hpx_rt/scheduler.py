@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, TYPE_CHECKING, Union
 
-from ..sim.core import AnyOf, Event, Simulator
+from ..sim.core import Event, Simulator, Sleeper
 from ..sim.primitives import SpinLock
 from ..sim.stats import StatSet
 from .parcel import HpxMessage, Parcel
@@ -35,6 +35,8 @@ __all__ = ["Scheduler", "Worker"]
 #: to decode queue as themselves (one object each); anything else is a
 #: :class:`Task`
 QueueEntry = Union[Task, Parcel, HpxMessage]
+#: what the wake list holds: anything with ``triggered`` and ``succeed()``
+SleeperLike = Union[Sleeper, Event]
 
 
 class Scheduler:
@@ -44,7 +46,7 @@ class Scheduler:
         self.sim = sim
         self.name = name
         self._queue: Deque[QueueEntry] = deque()
-        self._sleepers: Deque[Event] = deque()
+        self._sleepers: Deque[SleeperLike] = deque()
         #: lazily tombstoned sleeper events: unregistering is O(1) set-add
         #: instead of deque.remove's O(n); entries are reclaimed at the
         #: next notify or by compaction
@@ -67,10 +69,10 @@ class Scheduler:
         return len(self._queue)
 
     # -- sleep/wake -------------------------------------------------------------
-    def register_sleeper(self, ev: Event) -> None:
+    def register_sleeper(self, ev: SleeperLike) -> None:
         self._sleepers.append(ev)
 
-    def unregister_sleeper(self, ev: Event) -> None:
+    def unregister_sleeper(self, ev: SleeperLike) -> None:
         if ev.triggered:
             # Already popped (and woken) by notify — nothing to reclaim.
             return
@@ -109,6 +111,8 @@ class Worker:
         self.cost = locality.cost
         self._weight = locality.platform.thread_weight
         self.stats = StatSet(f"L{locality.lid}.w{core_id}")
+        #: communication-path CPU charged through :meth:`cpu`, in µs
+        self.cpu_us = 0.0
         self.name = f"L{locality.lid}/w{core_id}"
         #: span recorder (None => tracing off, zero overhead)
         self.obs = getattr(locality.runtime, "obs", None)
@@ -121,9 +125,9 @@ class Worker:
         fast path — the same heap record ``yield sim.timeout(us)`` would
         schedule, without the Timeout allocation.  This is the single
         hottest call in the stack (every poll, copy and post charges
-        through it).
+        through it), so it adds to a plain float attribute.
         """
-        self.stats.add("cpu_us", us)
+        self.cpu_us += us
         return us
 
     def compute(self, us: float) -> float:
@@ -162,7 +166,7 @@ class Worker:
 
     def lock_acquired(self, lk: SpinLock, t0: float) -> None:
         """Post-acquire bookkeeping for hot call sites that inline
-        :meth:`lock` as a bare ``yield lk.acquire()`` (same event, same
+        :meth:`lock` as a bare ``yield lk.acquire()`` (same wait, same
         stats — minus one generator per acquisition)."""
         now = self.sim.now
         self.stats.add("lock_wait_us", now - t0)
@@ -177,6 +181,7 @@ class Worker:
 
     def _run(self):
         loc = self.locality
+        sim = self.sim
         sched = loc.sched
         cost = self.cost
         rt = loc.runtime
@@ -218,8 +223,8 @@ class Worker:
                 continue
 
             # Nothing to do: sleep until woken or poll timer expires.
-            wake = Event(self.sim)
-            sched.register_sleeper(wake)
-            yield AnyOf(self.sim, [wake, self.sim.timeout(backoff)])
-            sched.unregister_sleeper(wake)
+            nap = Sleeper(sim, backoff)
+            sched.register_sleeper(nap)
+            yield nap
+            sched.unregister_sleeper(nap)
             backoff = min(backoff * 2.0, cost.idle_poll_max_us)

@@ -12,7 +12,7 @@ the mechanism.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .parcel import (HpxMessage, Parcel, PARCEL_METADATA_BYTES,
                      TRANSMISSION_ENTRY_BYTES)
@@ -22,27 +22,40 @@ __all__ = ["serialize_parcels", "serialize_cost", "deserialize_cost",
            "split_args"]
 
 
-def split_args(parcel: Parcel, threshold: int) -> Tuple[int, List[int]]:
+#: the zero-copy sizes of an eager-only parcel or message (shared)
+NO_ZERO_COPY: Tuple[int, ...] = ()
+
+
+def split_args(parcel: Parcel, threshold: int
+               ) -> Tuple[int, Sequence[int]]:
     """Partition one parcel's arguments by the zero-copy threshold.
 
     Returns ``(small_bytes, zc_sizes)``: the bytes that land in the
     non-zero-copy chunk (metadata + small args) and the per-argument sizes
-    that become zero-copy chunks.
+    that become zero-copy chunks -- a fresh list, or the shared empty
+    :data:`NO_ZERO_COPY` when there are none.
     """
     small = PARCEL_METADATA_BYTES
-    zc: List[int] = []
+    zc: Sequence[int] = NO_ZERO_COPY
     for size in parcel.arg_sizes:
         if size >= threshold:
+            if zc is NO_ZERO_COPY:
+                zc = []
             zc.append(size)
         else:
             small += size
     return small, zc
 
 
-def serialize_parcels(parcels: Sequence[Parcel], cost: CostModel,
+def serialize_parcels(parcels: List[Parcel], cost: CostModel,
                       mid: int = 0) -> HpxMessage:
     """Serialize a batch of same-destination parcels into one HPX message
-    with message id ``mid``."""
+    with message id ``mid``.
+
+    The message keeps ``parcels`` itself, so the caller hands the list
+    over and must not change it afterwards.  An eager-only message's
+    ``zc_sizes`` is the shared empty :data:`NO_ZERO_COPY`.
+    """
     if not parcels:
         raise ValueError("cannot serialize an empty parcel batch")
     dest = parcels[0].dest
@@ -50,14 +63,19 @@ def serialize_parcels(parcels: Sequence[Parcel], cost: CostModel,
     for p in parcels:
         if p.dest != dest:
             raise ValueError("parcels in one message must share destination")
+    threshold = cost.zero_copy_threshold
     non_zc = 0
-    zc_sizes: List[int] = []
+    zc_sizes: Sequence[int] = NO_ZERO_COPY
     for p in parcels:
-        small, zc = split_args(p, cost.zero_copy_threshold)
+        small, zc = split_args(p, threshold)
         non_zc += small
-        zc_sizes.extend(zc)
+        if zc:
+            if zc_sizes is NO_ZERO_COPY:
+                zc_sizes = zc
+            else:
+                zc_sizes.extend(zc)
     trans = TRANSMISSION_ENTRY_BYTES * len(zc_sizes) if zc_sizes else 0
-    return HpxMessage(dest=dest, src=src, parcels=list(parcels),
+    return HpxMessage(dest=dest, src=src, parcels=parcels,
                       non_zc_size=non_zc, zc_sizes=zc_sizes,
                       trans_size=trans, mid=mid)
 

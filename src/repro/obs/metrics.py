@@ -207,8 +207,7 @@ def build_runtime_metrics(rt: Any) -> MetricsRegistry:
             for k, v in loc.parcel_layer.stats.counters.items():
                 reg.counter(f"layer.{k}").inc(v)
         for w in loc.workers:
-            reg.counter("worker.cpu_us").inc(
-                w.stats.accum.get("cpu_us", 0.0))
+            reg.counter("worker.cpu_us").inc(w.cpu_us)
             reg.counter("worker.compute_us").inc(
                 w.stats.accum.get("compute_us", 0.0))
             reg.counter("worker.lock_wait_us").inc(

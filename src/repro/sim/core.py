@@ -14,13 +14,14 @@ The kernel is intentionally simpy-like (generator-coroutine processes that
 * There is no wall-clock coupling anywhere.
 
 The hot paths (``run``, ``Timeout``, ``Process._resume``, ``schedule_call``)
-are hand-optimised — heap pushes inlined, wake records pared down to bare
-``_Wake`` objects, the sequence counter a plain int — under a hard
-determinism contract: the ``(time, priority, seq)`` schedule, the
-``event_count``, and every simulated result are bit-identical to the
-pre-optimisation kernel (kept frozen in :mod:`repro.sim._seed_kernel` and
-compared against in ``tests/test_determinism_kernel.py``).  See
-docs/PERFORMANCE.md for the full catalogue of fast paths.
+are hand-optimised — heap pushes inlined, each process waiting through one
+reusable ``_Wake`` record, idle-sleep timers on a heap of their own, the
+sequence counter a plain int — under a hard determinism contract: the
+``(time, priority, seq)`` schedule, the ``event_count``, and every
+simulated result are bit-identical to the pre-optimisation kernel (kept
+frozen in :mod:`repro.sim._seed_kernel` and compared against in
+``tests/test_determinism_kernel.py``).  See docs/PERFORMANCE.md for the
+full catalogue of fast paths.
 
 Example
 -------
@@ -43,6 +44,8 @@ from typing import Any, Callable, Generator, Iterable, Optional, Tuple
 __all__ = [
     "Event",
     "Timeout",
+    "Relay",
+    "Sleeper",
     "Process",
     "AllOf",
     "AnyOf",
@@ -81,7 +84,8 @@ class Interrupt(Exception):
 
 
 class _Wake:
-    """Bare heap record for internal wake-ups (bootstrap, resume, interrupt).
+    """Bare heap record for internal wake-ups (a process's resume record,
+    interrupts, resumes off processed events, :meth:`Simulator.succeed_later`).
 
     Quacks just enough like a processed-event carrier for the run loop
     (``callbacks``/``processed``) and for :meth:`Process._resume`
@@ -91,6 +95,14 @@ class _Wake:
     """
 
     __slots__ = ("callbacks", "_value", "_ok", "processed")
+
+
+def _resume_record() -> _Wake:
+    """A process's reusable resume record: always ``_ok``, value None."""
+    rec = _Wake()
+    rec._ok = True
+    rec._value = None
+    return rec
 
 
 class Event:
@@ -252,6 +264,88 @@ def _succeed_stashed(wake: "_Wake") -> None:
     ev.succeed(ev._value)
 
 
+class Relay(float):
+    """A delay whose waiter resumes through two heap records.
+
+    ``yield Relay(d)`` is schedule-identical to ``ev = sim.event();
+    sim.succeed_later(ev, d); yield ev`` — a record at ``now + d`` that,
+    when it pops, pushes a second one at that time, which resumes the
+    process with ``None`` — but both records are the process's own
+    reusable resume record, so the wait allocates nothing.  The first
+    seq is drawn when the process suspends, so yield a relay right where
+    the event form would have been made.  :class:`~repro.sim.primitives.
+    SpinLock` hands one out for every uncontended acquire.
+    """
+
+    __slots__ = ()
+
+
+class Sleeper:
+    """An idle wait: ``AnyOf([wake, Timeout(delay)])`` in one object.
+
+    Yielded by the sleeping process right after it is made.  It pushes
+    the records the three-event form pushed, with the same seqs: the
+    timer at construction — onto the simulator's idle heap, since a woken
+    sleeper leaves it behind until its deadline — a wake record when
+    :meth:`succeed` is called, and, when the first of those two pops, the
+    sleeping process's resume record at that time.  The later of the two
+    pops as a no-op.  ``triggered`` means the wake
+    half fired, exactly as on the ``wake`` event it replaces, so a
+    scheduler's sleeper list can hold either.
+    """
+
+    __slots__ = ("sim", "callbacks", "processed", "triggered", "fired",
+                 "_rec")
+
+    def __init__(self, sim: "Simulator", delay: float):
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        self.sim = sim
+        self.callbacks = _SLEEPER_CALLBACKS
+        self.processed = False
+        self.triggered = False
+        #: the condition fired: the resume record is (or was) in the heap
+        self.fired = False
+        #: the waiting process's resume record, set when it is yielded
+        self._rec: Optional[_Wake] = None
+        seq = sim._seq
+        sim._seq = seq + 1
+        _heappush(sim._idle, (sim.now + delay, NORMAL, seq, self))
+
+    def succeed(self) -> "Sleeper":
+        """Wake the sleeper: push its wake record at the current time."""
+        if self.triggered:
+            raise SimulationError(f"{self!r} already triggered")
+        self.triggered = True
+        sim = self.sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        _heappush(sim._heap, (sim.now, NORMAL, seq, self))
+        return self
+
+
+def _sleeper_fire(sleeper: Sleeper) -> None:
+    """Pop of a sleeper's timer or wake record: the first one resumes the
+    sleeping process through its resume record."""
+    # Re-arm for the other record, which may still be in a heap.
+    sleeper.callbacks = _SLEEPER_CALLBACKS
+    if sleeper.fired:
+        return
+    sleeper.fired = True
+    rec = sleeper._rec
+    if rec is None:
+        raise SimulationError("a Sleeper fired before a process waited on "
+                              "it; yield it right after it is made")
+    sim = sleeper.sim
+    seq = sim._seq
+    sim._seq = seq + 1
+    _heappush(sim._heap, (sim.now, NORMAL, seq, rec))
+
+
+#: every sleeper's callback list (the run loop only iterates it)
+_SLEEPER_CALLBACKS = [_sleeper_fire]
+
+
 class Process(Event):
     """A generator-coroutine driven by the simulator.
 
@@ -261,7 +355,8 @@ class Process(Event):
     with the generator's return value, so processes can wait on each other.
     """
 
-    __slots__ = ("gen", "name", "_target", "_bound_resume")
+    __slots__ = ("gen", "name", "_target", "_bound_resume", "_rec",
+                 "_resume_cbs", "_relay_cbs")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         self.sim = sim
@@ -275,17 +370,20 @@ class Process(Event):
         # One bound method for the whole lifetime instead of a fresh
         # ``self._resume`` allocation on every suspension.
         self._bound_resume = self._resume
-        # Bootstrap: resume once at the current time.  The boot record is
-        # the process's initial resume target so stray callbacks can never
-        # start it twice.
-        boot = _Wake()
-        boot._ok = True
-        boot._value = None
-        boot.callbacks = [self._bound_resume]
-        self._target: Any = boot
+        # The callback lists a resume record is armed with; the run loop
+        # only iterates them, so every wait shares them.
+        self._resume_cbs = [self._bound_resume]
+        self._relay_cbs = [self._relay]
+        # The reusable resume record: re-armed and re-pushed by every
+        # bare-delay, relay and sleeper wait.  It is the boot record too,
+        # and the process's initial resume target, so stray callbacks can
+        # never start it twice.
+        rec = self._rec = _resume_record()
+        rec.callbacks = self._resume_cbs
+        self._target: Any = rec
         seq = sim._seq
         sim._seq = seq + 1
-        _heappush(sim._heap, (sim.now, URGENT, seq, boot))
+        _heappush(sim._heap, (sim.now, URGENT, seq, rec))
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
@@ -322,13 +420,27 @@ class Process(Event):
         if self.triggered:
             return
         target = self._target
-        if target is not None and target.callbacks is not None:
+        if target is self._rec:
+            # The resume record may still sit in a heap (or be pushed
+            # later by a relay or sleeper): retire it, so that entry's pop
+            # fails the target check instead of resuming the next wait.
+            self._rec = _resume_record()
+        elif target is not None and target.callbacks is not None:
             try:
                 target.callbacks.remove(self._bound_resume)
             except ValueError:
                 pass
         self._target = wake
         self._resume(wake)
+
+    def _relay(self, rec: _Wake) -> None:
+        """First pop of a :class:`Relay` wait: re-push the record at the
+        current time; its second pop resumes the process."""
+        rec.callbacks = self._resume_cbs
+        sim = self.sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        _heappush(sim._heap, (sim.now, NORMAL, seq, rec))
 
     def _resume(self, trigger: Any) -> None:
         # Only the currently registered target may resume the process; a
@@ -359,21 +471,38 @@ class Process(Event):
         cls = nxt.__class__
         if cls is float or cls is int:
             # Bare-delay yield (``yield worker.cpu(us)`` returns a float):
-            # push the resume record directly — the same ``(now + d,
+            # re-arm and push the resume record — the same ``(now + d,
             # NORMAL, seq)`` heap tuple, at the same seq-allocation point,
             # as ``yield sim.timeout(d)``, minus the Timeout object, its
             # callbacks list, and the callback-append on resume.
             if nxt < 0:
                 raise SimulationError(
                     f"process {self.name!r} yielded negative delay {nxt!r}")
-            wake = _Wake()
-            wake._ok = True
-            wake._value = None
-            wake.callbacks = [self._bound_resume]
-            self._target = wake
+            rec = self._rec
+            rec.callbacks = self._resume_cbs
+            self._target = rec
             seq = sim._seq
             sim._seq = seq + 1
-            _heappush(sim._heap, (sim.now + nxt, NORMAL, seq, wake))
+            _heappush(sim._heap, (sim.now + nxt, NORMAL, seq, rec))
+            return
+        if cls is Relay:
+            # Two-record delay (an uncontended lock's CAS): the first pop
+            # runs _relay, which re-pushes the record at that time.
+            rec = self._rec
+            rec.callbacks = self._relay_cbs
+            self._target = rec
+            seq = sim._seq
+            sim._seq = seq + 1
+            _heappush(sim._heap, (sim.now + nxt, NORMAL, seq, rec))
+            return
+        if cls is Sleeper:
+            # The sleeper pushes the resume record when it fires.
+            if nxt._rec is not None:
+                raise SimulationError(
+                    f"process {self.name!r} yielded a used Sleeper")
+            rec = nxt._rec = self._rec
+            rec.callbacks = self._resume_cbs
+            self._target = rec
             return
         if not isinstance(nxt, Event):
             raise SimulationError(
@@ -475,6 +604,12 @@ class Simulator:
         self.now: float = 0.0
         self.strict = strict
         self._heap: list = []
+        #: :class:`Sleeper` timers.  Most are stale by the time they pop
+        #: (their sleeper was woken first), so they wait here instead of
+        #: deepening the main heap.  Both heaps hold ``(time, priority,
+        #: seq, record)`` tuples, seqs are unique across the two, and
+        #: every pop takes the smaller top.
+        self._idle: list = []
         #: next ``(time, priority, seq)`` tie-breaker; a plain int sequence
         #: (same values as the seed kernel's ``itertools.count``)
         self._seq: int = 0
@@ -601,7 +736,7 @@ class Simulator:
         inlines this body into its tight loops); kept as the single-step
         API for tests and schedule tracing.
         """
-        t, _prio, _seq, event = _heappop(self._heap)
+        t, _prio, _seq, event = _heappop(self._next_heap())
         if t < self.now:
             raise SimulationError("time went backwards")
         self.now = t
@@ -637,6 +772,7 @@ class Simulator:
             deadline = float(until)
 
         heap = self._heap
+        idle = self._idle
         pop = _heappop
         limit = max_events if max_events is not None else float("inf")
         now = self.now
@@ -645,7 +781,7 @@ class Simulator:
             if deadline is None:
                 # Hot path: run to exhaustion or until ``stop_event``
                 # triggers, with the step() body inlined.
-                while heap:
+                while heap or idle:
                     if stop_event is not None \
                             and stop_event.callbacks is None:
                         break
@@ -653,7 +789,10 @@ class Simulator:
                         raise SimulationError(
                             f"exceeded max_events={max_events} "
                             f"(possible livelock)")
-                    item = pop(heap)
+                    if idle and (not heap or idle[0] < heap[0]):
+                        item = pop(idle)
+                    else:
+                        item = pop(heap)
                     t = item[0]
                     if t < now:
                         raise SimulationError("time went backwards")
@@ -668,11 +807,13 @@ class Simulator:
             else:
                 # Deadline path: peek before popping so events beyond the
                 # deadline stay scheduled.
-                while heap:
+                while heap or idle:
                     if stop_event is not None \
                             and stop_event.callbacks is None:
                         break
-                    t = heap[0][0]
+                    src = idle if idle and (not heap or idle[0] < heap[0]) \
+                        else heap
+                    t = src[0][0]
                     if t > deadline:
                         self.now = deadline
                         break
@@ -680,7 +821,7 @@ class Simulator:
                         raise SimulationError(
                             f"exceeded max_events={max_events} "
                             f"(possible livelock)")
-                    item = pop(heap)
+                    item = pop(src)
                     if t < now:
                         raise SimulationError("time went backwards")
                     self.now = now = t
@@ -700,13 +841,28 @@ class Simulator:
             if not stop_event.ok:
                 raise stop_event.value
             return stop_event.value
-        if deadline is not None and not self._heap:
+        if deadline is not None and not heap and not idle:
             self.now = max(self.now, deadline)
         return None
 
+    def _next_heap(self) -> list:
+        """The heap whose top pops next (the empty main heap if both are
+        empty); :meth:`run` inlines this choice."""
+        heap = self._heap
+        idle = self._idle
+        if idle and (not heap or idle[0] < heap[0]):
+            return idle
+        return heap
+
+    def next_key(self) -> Optional[tuple]:
+        """``(time, priority, seq)`` of the next record to pop, or None."""
+        heap = self._next_heap()
+        return heap[0][:3] if heap else None
+
     def peek(self) -> float:
         """Time of the next scheduled event (inf if none)."""
-        return self._heap[0][0] if self._heap else float("inf")
+        key = self.next_key()
+        return key[0] if key is not None else float("inf")
 
     @property
     def active_process(self) -> Optional[Process]:

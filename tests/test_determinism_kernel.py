@@ -11,12 +11,31 @@ the seed kernel.
 The two deliberate behaviour *fixes* (the ``max_events`` off-by-one and the
 interrupt-vs-completion races) are excluded here — they are covered as
 regression tests in ``tests/test_sim_core.py``.
+
+Waits the seed kernel has no form for run their seed-era spelling there:
+an uncontended :class:`~repro.sim.primitives.SpinLock` acquire (a
+:class:`~repro.sim.core.Relay`) against an ``Event`` triggered by
+``schedule_call``, and an idle :class:`~repro.sim.core.Sleeper` against
+``AnyOf([wake, Timeout])``.
 """
+
+from collections import deque
 
 import pytest
 
 import repro.sim._seed_kernel as seed_kernel
 import repro.sim.core as live_kernel
+from repro.hpx_rt.scheduler import Scheduler
+from repro.sim.primitives import SpinLock
+
+
+def next_key(sim):
+    """The next record's ``(time, priority, seq)``, or None: asked of the
+    live kernel, which merges its idle-timer heap, and read off the seed
+    kernel's single heap."""
+    if hasattr(sim, "next_key"):
+        return sim.next_key()
+    return sim._heap[0][:3] if sim._heap else None
 
 
 def trace_schedule(mod, build):
@@ -25,10 +44,11 @@ def trace_schedule(mod, build):
     sim = mod.Simulator(strict=False)
     build(sim, mod)
     sched = []
-    while sim._heap:
-        t, prio, seq, _ev = sim._heap[0]
-        sched.append((t, prio, seq))
+    key = next_key(sim)
+    while key is not None:
+        sched.append(key)
         sim.step()
+        key = next_key(sim)
     return sched, sim.now, sim.event_count
 
 
@@ -159,11 +179,153 @@ def build_failing_processes(sim, mod):
     sim.process(guard(sim))
 
 
+# -- live-kernel wait forms, spelled the seed's way on the seed kernel ------
+def delay(sim, mod, d):
+    """A bare-delay wait: the float fast path live, a Timeout on the seed."""
+    return d if mod is live_kernel else sim.timeout(d)
+
+
+class SeedLock:
+    """The seed-era SpinLock: every grant is an Event that a
+    ``schedule_call`` triggers one CAS after the acquire or hand-off."""
+
+    def __init__(self, sim, acquire_cost):
+        self.sim = sim
+        self.acquire_cost = acquire_cost
+        self.locked = False
+        self._waiters = deque()
+
+    def _grant(self, ev):
+        self.sim.schedule_call(self.acquire_cost, lambda: ev.succeed())
+
+    def acquire(self):
+        ev = self.sim.event()
+        if not self.locked:
+            self.locked = True
+            self._grant(ev)
+        else:
+            self._waiters.append(ev)
+        return ev
+
+    def release(self):
+        if self._waiters:
+            self._grant(self._waiters.popleft())
+        else:
+            self.locked = False
+
+
+def make_lock(sim, mod, acquire_cost):
+    if mod is live_kernel:
+        return SpinLock(sim, acquire_cost=acquire_cost)
+    return SeedLock(sim, acquire_cost)
+
+
+def nap(sim, mod, sched, d):
+    """Generator: one idle sleep as ``Worker._run`` takes it — a Sleeper
+    live, ``AnyOf([wake, Timeout(d)])`` on the seed — registered with
+    ``sched`` while it lasts."""
+    if mod is live_kernel:
+        wait = wake = live_kernel.Sleeper(sim, d)
+    else:
+        wake = mod.Event(sim)
+        wait = mod.AnyOf(sim, [wake, sim.timeout(d)])
+    sched.register_sleeper(wake)
+    yield wait
+    sched.unregister_sleeper(wake)
+    return wake
+
+
+def build_lock_handoffs(sim, mod):
+    # three lockers with different hold and think times: acquisitions
+    # alternate between uncontended relays and contended hand-offs
+    lock = make_lock(sim, mod, 0.25)
+
+    def locker(sim, k, hold, think):
+        for i in range(k):
+            yield lock.acquire()
+            yield delay(sim, mod, hold * (1 + i % 2))
+            lock.release()
+            yield delay(sim, mod, think)
+
+    for hold, think in ((0.5, 3.0), (1.0, 0.5), (0.25, 6.0)):
+        sim.process(locker(sim, 12, hold, think))
+    return lock
+
+
+def build_sleep_woken_before_timer(sim, mod):
+    # every nap is notified long before its timer: wake, then resume,
+    # records pop first and the timer pops stale later
+    sched = Scheduler(sim)
+    woken = []
+
+    def napper(sim):
+        for _ in range(6):
+            wake = yield from nap(sim, mod, sched, 8.0)
+            woken.append(wake.triggered)
+            yield delay(sim, mod, 0.5)
+
+    def waker(sim):
+        for _ in range(6):
+            yield delay(sim, mod, 1.5)
+            sched.notify()
+
+    sim.process(napper(sim))
+    sim.process(waker(sim))
+    return woken
+
+
+def build_sleep_woken_by_timer(sim, mod):
+    # backed-off naps that only their timers end; each leaves a stale
+    # entry in the scheduler's wake list
+    sched = Scheduler(sim)
+    woken = []
+
+    def napper(sim, first):
+        d = first
+        for _ in range(5):
+            wake = yield from nap(sim, mod, sched, d)
+            woken.append(wake.triggered)
+            d *= 2.0
+
+    sim.process(napper(sim, 0.5))
+    sim.process(napper(sim, 0.75))
+    return woken
+
+
+def build_sleep_notified_at_deadline(sim, mod):
+    # notifies that land exactly on a nap's deadline.  One scheduled after
+    # the nap pops after its timer, which already pushed the resume
+    # record, and before that record: it wakes a fired sleeper, and its
+    # wake record pops as a no-op.  One scheduled before the nap pops
+    # before the timer, which then pops as the no-op.
+    sched = Scheduler(sim)
+    woken = []
+
+    def notify_at_deadline():
+        sim.schedule_call(2.0, sched.notify)
+
+    def napper(sim):
+        for i in range(6):
+            if i % 2:
+                notify_at_deadline()
+            else:
+                # runs once the nap below is made
+                sim.schedule_call(0.0, notify_at_deadline)
+            wake = yield from nap(sim, mod, sched, 2.0)
+            woken.append(wake.triggered)
+            yield delay(sim, mod, 1.0)
+
+    sim.process(napper(sim))
+    return woken
+
+
 WORKLOADS = [build_timeout_storm, build_process_chain,
              build_process_ping_pong, build_conditions,
              build_condition_rounds, build_already_processed_resume,
              build_schedule_call_chains, build_interrupt_sleeping,
-             build_urgent_ties, build_failing_processes]
+             build_urgent_ties, build_failing_processes,
+             build_lock_handoffs, build_sleep_woken_before_timer,
+             build_sleep_woken_by_timer, build_sleep_notified_at_deadline]
 
 
 @pytest.mark.parametrize("build", WORKLOADS,
@@ -177,6 +339,38 @@ def test_schedule_bit_identical_to_seed_kernel(build):
         key = (t, prio)
         assert by_key.get(key, -1) < seq
         by_key[key] = seq
+
+
+def test_new_wait_workloads_reach_every_path(monkeypatch):
+    """The lock and idle-sleep inputs above exercise what they claim to:
+    uncontended and contended acquires, and sleeps ended by a notify, by
+    the timer, and by a notify at the deadline both before and after the
+    timer popped."""
+    def run(build):
+        sim = live_kernel.Simulator()
+        out = build(sim, live_kernel)
+        sim.run()
+        return out
+
+    lock = run(build_lock_handoffs)
+    assert lock.acquisitions == 36
+    assert lock.max_queue >= 1 and lock.total_wait_us > 0
+
+    notified = []
+    succeed = live_kernel.Sleeper.succeed
+
+    def logged_succeed(self):
+        notified.append(self.fired)
+        return succeed(self)
+
+    monkeypatch.setattr(live_kernel.Sleeper, "succeed", logged_succeed)
+    assert run(build_sleep_woken_before_timer) == [True] * 6
+    assert notified == [False] * 6
+    notified.clear()
+    assert run(build_sleep_woken_by_timer) == [False] * 10
+    assert notified == []
+    assert run(build_sleep_notified_at_deadline) == [True] * 6
+    assert notified == [True, False] * 3
 
 
 def test_batched_schedule_calls_matches_seed_individual_calls():
@@ -198,36 +392,53 @@ def test_batched_schedule_calls_matches_seed_individual_calls():
 # ---------------------------------------------------------------------------
 # end-to-end golden values captured from the seed kernel (pre-fast-path)
 # ---------------------------------------------------------------------------
+# The event counts pin the schedule's length: a kernel change can keep
+# every result while pushing one extra no-op record per rare interleaving.
 GOLDEN_MESSAGE_RATE = [
-    # (config, inject_time_us, comm_time_us) for
+    # (config, inject_time_us, comm_time_us, events) for
     # MessageRateParams(msg_size=8, batch=50, total_msgs=2000,
     #                   inject_rate_kps=200.0), seed=7
-    ("mpi", 9942.827805390223, 9953.554842100666),
-    ("mpi_i", 9808.548227200472, 9911.956400001256),
-    ("lci_psr_cq_pin_i", 9788.916742360374, 9815.27039999989),
-    ("lci_sr_sy_mt", 9957.228369905555, 10002.455300129022),
-    ("mpi_orig", 9969.84220000193, 9984.819200002068),
+    ("mpi", 9942.827805390223, 9953.554842100666, 616718),
+    ("mpi_i", 9808.548227200472, 9911.956400001256, 317758),
+    ("lci_psr_cq_pin_i", 9788.916742360374, 9815.27039999989, 243812),
+    ("lci_sr_sy_mt", 9957.228369905555, 10002.455300129022, 466719),
+    ("mpi_orig", 9969.84220000193, 9984.819200002068, 655349),
 ]
 
 GOLDEN_LATENCY = [
-    # (config, total_time_us) for LatencyParams(8, window=16, steps=30),
-    # seed=7
-    ("mpi_i", 2107.6731999998888),
-    ("lci_psr_cq_pin_i", 562.6053963056061),
+    # (config, total_time_us, events) for LatencyParams(8, window=16,
+    # steps=30), seed=7
+    ("mpi_i", 2107.6731999998888, 147257),
+    ("lci_psr_cq_pin_i", 562.6053963056061, 95818),
 ]
 
 GOLDEN_OCTOTIGER = [
-    # (config, total_time_us) for OctoTigerBenchParams(n_localities=2,
-    # paper_level=4, n_steps=1), seed=7
-    ("mpi_i", 210793.64027123534),
-    ("lci_psr_cq_pin_i", 203394.30973565462),
+    # (config, total_time_us, events) for OctoTigerBenchParams(
+    # n_localities=2, paper_level=4, n_steps=1), seed=7
+    ("mpi_i", 210793.64027123534, 1029072),
+    ("lci_psr_cq_pin_i", 203394.30973565462, 679024),
 ]
 
 
-@pytest.mark.parametrize("cfg,inject_us,comm_us", GOLDEN_MESSAGE_RATE,
-                         ids=[c for c, _, _ in GOLDEN_MESSAGE_RATE])
+@pytest.fixture
+def built_sims(monkeypatch):
+    """Every Simulator built while the test runs, in order."""
+    built = []
+    init = live_kernel.Simulator.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(live_kernel.Simulator, "__init__", recording_init)
+    return built
+
+
+@pytest.mark.parametrize("cfg,inject_us,comm_us,events", GOLDEN_MESSAGE_RATE,
+                         ids=[c[0] for c in GOLDEN_MESSAGE_RATE])
 def test_message_rate_results_byte_identical_to_seed(cfg, inject_us,
-                                                     comm_us):
+                                                     comm_us, events,
+                                                     built_sims):
     from repro.bench.message_rate import (MessageRateParams,
                                           run_message_rate)
     params = MessageRateParams(msg_size=8, batch=50, total_msgs=2000,
@@ -235,23 +446,28 @@ def test_message_rate_results_byte_identical_to_seed(cfg, inject_us,
     res = run_message_rate(cfg, params, seed=7)
     assert res.inject_time_us == inject_us
     assert res.comm_time_us == comm_us
+    assert [sim.event_count for sim in built_sims] == [events]
 
 
-@pytest.mark.parametrize("cfg,total_us", GOLDEN_LATENCY,
-                         ids=[c for c, _ in GOLDEN_LATENCY])
-def test_latency_results_byte_identical_to_seed(cfg, total_us):
+@pytest.mark.parametrize("cfg,total_us,events", GOLDEN_LATENCY,
+                         ids=[c[0] for c in GOLDEN_LATENCY])
+def test_latency_results_byte_identical_to_seed(cfg, total_us, events,
+                                                built_sims):
     from repro.bench.latency import LatencyParams, run_latency
     res = run_latency(cfg, LatencyParams(msg_size=8, window=16, steps=30),
                       seed=7)
     assert res.total_time_us == total_us
+    assert [sim.event_count for sim in built_sims] == [events]
 
 
-@pytest.mark.parametrize("cfg,total_us", GOLDEN_OCTOTIGER,
-                         ids=[c for c, _ in GOLDEN_OCTOTIGER])
-def test_octotiger_results_byte_identical_to_seed(cfg, total_us):
+@pytest.mark.parametrize("cfg,total_us,events", GOLDEN_OCTOTIGER,
+                         ids=[c[0] for c in GOLDEN_OCTOTIGER])
+def test_octotiger_results_byte_identical_to_seed(cfg, total_us, events,
+                                                  built_sims):
     from repro.bench.octotiger_bench import (OctoTigerBenchParams,
                                              run_octotiger)
     res = run_octotiger(cfg, OctoTigerBenchParams(n_localities=2,
                                                   paper_level=4, n_steps=1),
                         seed=7)
     assert res["total_time_us"] == total_us
+    assert [sim.event_count for sim in built_sims] == [events]

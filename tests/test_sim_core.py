@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import (AllOf, AnyOf, Event, Interrupt, SimulationError,
                        Simulator, Timeout)
-from repro.sim.core import URGENT
+from repro.sim.core import URGENT, Relay, Sleeper
 
 
 def test_timeout_fires_at_delay():
@@ -241,6 +241,113 @@ def test_yield_bare_delay_sleeps_like_timeout():
     assert [t for _, t in log[:2]] == [t for _, t in log[2:]] == [3.0, 5.0]
     assert sim_a.event_count == sim_b.event_count
     assert sim_a._seq == sim_b._seq
+
+
+def test_interrupt_retires_the_reused_resume_record():
+    """Every bare-delay wait re-pushes one record per process.  An
+    interrupted wait leaves its entry in the heap; that entry must still
+    pop and count, but must not resume the next wait at its old time."""
+    sim = Simulator()
+    log = []
+
+    def proc(sim):
+        try:
+            yield 5.0
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+        yield 10.0
+        log.append(("resumed", sim.now))
+
+    p = sim.process(proc(sim))
+    sim.schedule_call(2.0, lambda: p.interrupt())
+    sim.run()
+    assert log == [("interrupted", 2.0), ("resumed", 12.0)]
+    # boot, the call, the interrupt, the stale 5.0 entry, the 12.0
+    # resume and the completion
+    assert sim.event_count == 6
+
+
+@pytest.mark.parametrize("form", ["relay", "sleeper"])
+def test_interrupted_relay_and_sleeper_never_resume_the_next_wait(form):
+    """A relay's second record and a sleeper's resume record are pushed
+    after the interrupt; both belong to the retired record."""
+    sim = Simulator()
+    log = []
+
+    def proc(sim):
+        try:
+            if form == "relay":
+                yield Relay(5.0)
+            else:
+                yield Sleeper(sim, 5.0)
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+        yield 10.0
+        log.append(("resumed", sim.now))
+
+    p = sim.process(proc(sim))
+    sim.schedule_call(2.0, lambda: p.interrupt())
+    sim.run()
+    assert log == [("interrupted", 2.0), ("resumed", 12.0)]
+    # the two records after the stale 5.0 entry (relay: its re-push;
+    # sleeper: the resume record the timer pushes) pop as no-ops
+    assert sim.event_count == 7
+
+
+def test_relay_resumes_like_a_succeed_later_event():
+    log = []
+
+    def relay_proc(sim):
+        v = yield Relay(0.25)
+        log.append((sim.now, v))
+
+    def event_proc(sim):
+        ev = sim.event()
+        sim.succeed_later(ev, 0.25)
+        v = yield ev
+        log.append((sim.now, v))
+
+    sims = []
+    for proc in (relay_proc, event_proc):
+        sim = Simulator()
+        sim.process(proc(sim))
+        sim.run()
+        sims.append(sim)
+    assert log == [(0.25, None), (0.25, None)]
+    assert sims[0].event_count == sims[1].event_count == 4
+    assert sims[0]._seq == sims[1]._seq
+
+
+def test_sleeper_wake_timer_and_misuse():
+    sim = Simulator()
+    log = []
+    naps = []
+
+    def proc(sim):
+        for delay in (4.0, 1.0):
+            nap = Sleeper(sim, delay)
+            naps.append(nap)
+            yield nap
+            log.append((sim.now, nap.triggered))
+        yield naps[0]                    # a used sleeper
+
+    sim.process(proc(sim))
+    sim.schedule_call(2.0, lambda: naps[0].succeed())
+    with pytest.raises(SimulationError, match="used Sleeper"):
+        sim.run()
+    # woken at 2.0; the second nap's timer fires at 3.0
+    assert log == [(2.0, True), (3.0, False)]
+    with pytest.raises(SimulationError, match="already triggered"):
+        naps[0].succeed()
+    with pytest.raises(ValueError, match="negative delay"):
+        Sleeper(sim, -1.0)
+
+
+def test_sleeper_fired_before_anyone_waits_raises():
+    sim = Simulator()
+    Sleeper(sim, 1.0)
+    with pytest.raises(SimulationError, match="yield it right after"):
+        sim.run()
 
 
 def test_yield_negative_delay_raises():
@@ -595,7 +702,8 @@ def test_run_until_deadline_processes_urgent_ties_at_deadline():
 def test_peek_on_empty_heap_is_inf():
     sim = Simulator()
     assert sim.peek() == float("inf")
-    assert sim._heap == []
+    assert sim.next_key() is None
+    assert sim._heap == [] and sim._idle == []
     sim.run()                      # running an empty sim is a no-op
     assert sim.now == 0.0 and sim.peek() == float("inf")
 

@@ -73,7 +73,7 @@ class HpxMessage:
     src: int
     parcels: List[Parcel]
     non_zc_size: int          #: bytes in the non-zero-copy chunk
-    zc_sizes: Sequence[int]   #: one entry per zero-copy chunk
+    zc_sizes: List[int]       #: one entry per zero-copy chunk
     trans_size: int           #: transmission-chunk bytes (0 if no zc chunks)
     #: end-to-end sequence number, assigned by the parcelport's
     #: reliability layer on first transmission (None when reliability is

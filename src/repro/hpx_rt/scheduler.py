@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, TYPE_CHECKING, Union
 
-from ..sim.core import Event, Simulator, Sleeper
+from ..sim.core import Simulator, Sleeper
 from ..sim.primitives import SpinLock
 from ..sim.stats import StatSet
 from .parcel import HpxMessage, Parcel
@@ -35,8 +35,6 @@ __all__ = ["Scheduler", "Worker"]
 #: to decode queue as themselves (one object each); anything else is a
 #: :class:`Task`
 QueueEntry = Union[Task, Parcel, HpxMessage]
-#: what the wake list holds: anything with ``triggered`` and ``succeed()``
-SleeperLike = Union[Sleeper, Event]
 
 
 class Scheduler:
@@ -46,7 +44,7 @@ class Scheduler:
         self.sim = sim
         self.name = name
         self._queue: Deque[QueueEntry] = deque()
-        self._sleepers: Deque[SleeperLike] = deque()
+        self._sleepers: Deque[Sleeper] = deque()
         #: lazily tombstoned sleeper events: unregistering is O(1) set-add
         #: instead of deque.remove's O(n); entries are reclaimed at the
         #: next notify or by compaction
@@ -69,10 +67,10 @@ class Scheduler:
         return len(self._queue)
 
     # -- sleep/wake -------------------------------------------------------------
-    def register_sleeper(self, ev: SleeperLike) -> None:
+    def register_sleeper(self, ev: Sleeper) -> None:
         self._sleepers.append(ev)
 
-    def unregister_sleeper(self, ev: SleeperLike) -> None:
+    def unregister_sleeper(self, ev: Sleeper) -> None:
         if ev.triggered:
             # Already popped (and woken) by notify — nothing to reclaim.
             return
@@ -166,7 +164,7 @@ class Worker:
 
     def lock_acquired(self, lk: SpinLock, t0: float) -> None:
         """Post-acquire bookkeeping for hot call sites that inline
-        :meth:`lock` as a bare ``yield lk.acquire()`` (same wait, same
+        :meth:`lock` as a bare ``yield lk.acquire()`` (same event, same
         stats — minus one generator per acquisition)."""
         now = self.sim.now
         self.stats.add("lock_wait_us", now - t0)

@@ -12,7 +12,7 @@ the mechanism.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .parcel import (HpxMessage, Parcel, PARCEL_METADATA_BYTES,
                      TRANSMISSION_ENTRY_BYTES)
@@ -22,25 +22,17 @@ __all__ = ["serialize_parcels", "serialize_cost", "deserialize_cost",
            "split_args"]
 
 
-#: the zero-copy sizes of an eager-only parcel or message (shared)
-NO_ZERO_COPY: Tuple[int, ...] = ()
-
-
-def split_args(parcel: Parcel, threshold: int
-               ) -> Tuple[int, Sequence[int]]:
+def split_args(parcel: Parcel, threshold: int) -> Tuple[int, List[int]]:
     """Partition one parcel's arguments by the zero-copy threshold.
 
     Returns ``(small_bytes, zc_sizes)``: the bytes that land in the
     non-zero-copy chunk (metadata + small args) and the per-argument sizes
-    that become zero-copy chunks -- a fresh list, or the shared empty
-    :data:`NO_ZERO_COPY` when there are none.
+    that become zero-copy chunks.
     """
     small = PARCEL_METADATA_BYTES
-    zc: Sequence[int] = NO_ZERO_COPY
+    zc: List[int] = []
     for size in parcel.arg_sizes:
         if size >= threshold:
-            if zc is NO_ZERO_COPY:
-                zc = []
             zc.append(size)
         else:
             small += size
@@ -53,8 +45,7 @@ def serialize_parcels(parcels: List[Parcel], cost: CostModel,
     with message id ``mid``.
 
     The message keeps ``parcels`` itself, so the caller hands the list
-    over and must not change it afterwards.  An eager-only message's
-    ``zc_sizes`` is the shared empty :data:`NO_ZERO_COPY`.
+    over and must not change it afterwards.
     """
     if not parcels:
         raise ValueError("cannot serialize an empty parcel batch")
@@ -63,17 +54,12 @@ def serialize_parcels(parcels: List[Parcel], cost: CostModel,
     for p in parcels:
         if p.dest != dest:
             raise ValueError("parcels in one message must share destination")
-    threshold = cost.zero_copy_threshold
     non_zc = 0
-    zc_sizes: Sequence[int] = NO_ZERO_COPY
+    zc_sizes: List[int] = []
     for p in parcels:
-        small, zc = split_args(p, threshold)
+        small, zc = split_args(p, cost.zero_copy_threshold)
         non_zc += small
-        if zc:
-            if zc_sizes is NO_ZERO_COPY:
-                zc_sizes = zc
-            else:
-                zc_sizes.extend(zc)
+        zc_sizes.extend(zc)
     trans = TRANSMISSION_ENTRY_BYTES * len(zc_sizes) if zc_sizes else 0
     return HpxMessage(dest=dest, src=src, parcels=parcels,
                       non_zc_size=non_zc, zc_sizes=zc_sizes,

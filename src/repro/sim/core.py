@@ -44,7 +44,6 @@ from typing import Any, Callable, Generator, Iterable, Optional, Tuple
 __all__ = [
     "Event",
     "Timeout",
-    "Relay",
     "Sleeper",
     "Process",
     "AllOf",
@@ -264,22 +263,6 @@ def _succeed_stashed(wake: "_Wake") -> None:
     ev.succeed(ev._value)
 
 
-class Relay(float):
-    """A delay whose waiter resumes through two heap records.
-
-    ``yield Relay(d)`` is schedule-identical to ``ev = sim.event();
-    sim.succeed_later(ev, d); yield ev`` — a record at ``now + d`` that,
-    when it pops, pushes a second one at that time, which resumes the
-    process with ``None`` — but both records are the process's own
-    reusable resume record, so the wait allocates nothing.  The first
-    seq is drawn when the process suspends, so yield a relay right where
-    the event form would have been made.  :class:`~repro.sim.primitives.
-    SpinLock` hands one out for every uncontended acquire.
-    """
-
-    __slots__ = ()
-
-
 class Sleeper:
     """An idle wait: ``AnyOf([wake, Timeout(delay)])`` in one object.
 
@@ -289,9 +272,8 @@ class Sleeper:
     sleeper leaves it behind until its deadline — a wake record when
     :meth:`succeed` is called, and, when the first of those two pops, the
     sleeping process's resume record at that time.  The later of the two
-    pops as a no-op.  ``triggered`` means the wake
-    half fired, exactly as on the ``wake`` event it replaces, so a
-    scheduler's sleeper list can hold either.
+    pops as a no-op.  ``triggered`` means the wake half fired, exactly as
+    on the ``wake`` event it replaces.
     """
 
     __slots__ = ("sim", "callbacks", "processed", "triggered", "fired",
@@ -356,7 +338,7 @@ class Process(Event):
     """
 
     __slots__ = ("gen", "name", "_target", "_bound_resume", "_rec",
-                 "_resume_cbs", "_relay_cbs")
+                 "_resume_cbs")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         self.sim = sim
@@ -370,14 +352,13 @@ class Process(Event):
         # One bound method for the whole lifetime instead of a fresh
         # ``self._resume`` allocation on every suspension.
         self._bound_resume = self._resume
-        # The callback lists a resume record is armed with; the run loop
-        # only iterates them, so every wait shares them.
+        # The callback list a resume record is armed with; the run loop
+        # only iterates it, so every wait shares it.
         self._resume_cbs = [self._bound_resume]
-        self._relay_cbs = [self._relay]
         # The reusable resume record: re-armed and re-pushed by every
-        # bare-delay, relay and sleeper wait.  It is the boot record too,
-        # and the process's initial resume target, so stray callbacks can
-        # never start it twice.
+        # bare-delay and sleeper wait.  It is the boot record too, and the
+        # process's initial resume target, so stray callbacks can never
+        # start it twice.
         rec = self._rec = _resume_record()
         rec.callbacks = self._resume_cbs
         self._target: Any = rec
@@ -422,8 +403,8 @@ class Process(Event):
         target = self._target
         if target is self._rec:
             # The resume record may still sit in a heap (or be pushed
-            # later by a relay or sleeper): retire it, so that entry's pop
-            # fails the target check instead of resuming the next wait.
+            # later by a sleeper): retire it, so that entry's pop fails
+            # the target check instead of resuming the next wait.
             self._rec = _resume_record()
         elif target is not None and target.callbacks is not None:
             try:
@@ -432,15 +413,6 @@ class Process(Event):
                 pass
         self._target = wake
         self._resume(wake)
-
-    def _relay(self, rec: _Wake) -> None:
-        """First pop of a :class:`Relay` wait: re-push the record at the
-        current time; its second pop resumes the process."""
-        rec.callbacks = self._resume_cbs
-        sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        _heappush(sim._heap, (sim.now, NORMAL, seq, rec))
 
     def _resume(self, trigger: Any) -> None:
         # Only the currently registered target may resume the process; a
@@ -480,16 +452,6 @@ class Process(Event):
                     f"process {self.name!r} yielded negative delay {nxt!r}")
             rec = self._rec
             rec.callbacks = self._resume_cbs
-            self._target = rec
-            seq = sim._seq
-            sim._seq = seq + 1
-            _heappush(sim._heap, (sim.now + nxt, NORMAL, seq, rec))
-            return
-        if cls is Relay:
-            # Two-record delay (an uncontended lock's CAS): the first pop
-            # runs _relay, which re-pushes the record at that time.
-            rec = self._rec
-            rec.callbacks = self._relay_cbs
             self._target = rec
             seq = sim._seq
             sim._seq = seq + 1

@@ -20,9 +20,9 @@ All costs are in microseconds of virtual time.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional, Union
+from typing import Any, Deque, Optional
 
-from .core import Event, Relay, Simulator
+from .core import Event, Simulator
 
 __all__ = [
     "SpinLock",
@@ -72,17 +72,16 @@ class ContentionMeter:
 class SpinLock:
     """FIFO blocking spin lock.
 
-    ``yield lock.acquire()``: the caller owns the lock when it resumes.
+    ``acquire()`` returns an event; the caller owns the lock when it fires.
     While waiting, the calling thread's core is considered busy (spinning),
     which in this one-thread-per-core model is implicit: the process simply
-    cannot do anything else.  ``acquire_cost`` is fixed at construction.
+    cannot do anything else.
 
     Statistics: ``total_wait_us``, ``acquisitions``, ``max_queue``.
     """
 
     __slots__ = ("sim", "name", "locked", "_waiters", "acquire_cost",
-                 "total_wait_us", "acquisitions", "max_queue", "_acq_time",
-                 "_cas")
+                 "total_wait_us", "acquisitions", "max_queue", "_acq_time")
 
     def __init__(self, sim: Simulator, name: str = "spinlock",
                  acquire_cost: float = 0.02):
@@ -95,25 +94,20 @@ class SpinLock:
         self.acquisitions = 0
         self.max_queue = 0
         self._acq_time = 0.0
-        #: the uncontended acquire's wait: one CAS
-        self._cas = Relay(acquire_cost)
 
-    def acquire(self) -> Union[Relay, Event]:
-        """What to yield to take the lock.
-
-        Uncontended, the lock's :class:`~repro.sim.core.Relay`: the CAS
-        costs the two-record schedule of ``schedule_call(cost, lambda:
-        ev.succeed())`` on the waiter's own resume record, so yield it
-        right away.  Contended, an event :meth:`release` triggers.
-        """
+    def acquire(self) -> Event:
+        ev = Event(self.sim)
         if not self.locked:
             self.locked = True
             self.acquisitions += 1
             self._acq_time = self.sim.now
-            return self._cas
-        ev = Event(self.sim)
-        self._waiters.append((self.sim.now, ev))
-        self.max_queue = max(self.max_queue, len(self._waiters))
+            # Even an uncontended acquire costs a CAS.  succeed_later is
+            # the slim form of schedule_call(cost, lambda: ev.succeed()):
+            # identical two-record schedule, no _Call/closure objects.
+            self.sim.succeed_later(ev, self.acquire_cost)
+        else:
+            self._waiters.append((self.sim.now, ev))
+            self.max_queue = max(self.max_queue, len(self._waiters))
         return ev
 
     def release(self) -> None:

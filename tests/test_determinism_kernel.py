@@ -12,21 +12,15 @@ The two deliberate behaviour *fixes* (the ``max_events`` off-by-one and the
 interrupt-vs-completion races) are excluded here — they are covered as
 regression tests in ``tests/test_sim_core.py``.
 
-Waits the seed kernel has no form for run their seed-era spelling there:
-an uncontended :class:`~repro.sim.primitives.SpinLock` acquire (a
-:class:`~repro.sim.core.Relay`) against an ``Event`` triggered by
-``schedule_call``, and an idle :class:`~repro.sim.core.Sleeper` against
-``AnyOf([wake, Timeout])``.
+The seed kernel has no idle :class:`~repro.sim.core.Sleeper`; its
+workloads run the seed-era spelling there, ``AnyOf([wake, Timeout])``.
 """
-
-from collections import deque
 
 import pytest
 
 import repro.sim._seed_kernel as seed_kernel
 import repro.sim.core as live_kernel
 from repro.hpx_rt.scheduler import Scheduler
-from repro.sim.primitives import SpinLock
 
 
 def next_key(sim):
@@ -185,41 +179,6 @@ def delay(sim, mod, d):
     return d if mod is live_kernel else sim.timeout(d)
 
 
-class SeedLock:
-    """The seed-era SpinLock: every grant is an Event that a
-    ``schedule_call`` triggers one CAS after the acquire or hand-off."""
-
-    def __init__(self, sim, acquire_cost):
-        self.sim = sim
-        self.acquire_cost = acquire_cost
-        self.locked = False
-        self._waiters = deque()
-
-    def _grant(self, ev):
-        self.sim.schedule_call(self.acquire_cost, lambda: ev.succeed())
-
-    def acquire(self):
-        ev = self.sim.event()
-        if not self.locked:
-            self.locked = True
-            self._grant(ev)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self):
-        if self._waiters:
-            self._grant(self._waiters.popleft())
-        else:
-            self.locked = False
-
-
-def make_lock(sim, mod, acquire_cost):
-    if mod is live_kernel:
-        return SpinLock(sim, acquire_cost=acquire_cost)
-    return SeedLock(sim, acquire_cost)
-
-
 def nap(sim, mod, sched, d):
     """Generator: one idle sleep as ``Worker._run`` takes it — a Sleeper
     live, ``AnyOf([wake, Timeout(d)])`` on the seed — registered with
@@ -233,23 +192,6 @@ def nap(sim, mod, sched, d):
     yield wait
     sched.unregister_sleeper(wake)
     return wake
-
-
-def build_lock_handoffs(sim, mod):
-    # three lockers with different hold and think times: acquisitions
-    # alternate between uncontended relays and contended hand-offs
-    lock = make_lock(sim, mod, 0.25)
-
-    def locker(sim, k, hold, think):
-        for i in range(k):
-            yield lock.acquire()
-            yield delay(sim, mod, hold * (1 + i % 2))
-            lock.release()
-            yield delay(sim, mod, think)
-
-    for hold, think in ((0.5, 3.0), (1.0, 0.5), (0.25, 6.0)):
-        sim.process(locker(sim, 12, hold, think))
-    return lock
 
 
 def build_sleep_woken_before_timer(sim, mod):
@@ -324,8 +266,8 @@ WORKLOADS = [build_timeout_storm, build_process_chain,
              build_condition_rounds, build_already_processed_resume,
              build_schedule_call_chains, build_interrupt_sleeping,
              build_urgent_ties, build_failing_processes,
-             build_lock_handoffs, build_sleep_woken_before_timer,
-             build_sleep_woken_by_timer, build_sleep_notified_at_deadline]
+             build_sleep_woken_before_timer, build_sleep_woken_by_timer,
+             build_sleep_notified_at_deadline]
 
 
 @pytest.mark.parametrize("build", WORKLOADS,
@@ -341,20 +283,15 @@ def test_schedule_bit_identical_to_seed_kernel(build):
         by_key[key] = seq
 
 
-def test_new_wait_workloads_reach_every_path(monkeypatch):
-    """The lock and idle-sleep inputs above exercise what they claim to:
-    uncontended and contended acquires, and sleeps ended by a notify, by
-    the timer, and by a notify at the deadline both before and after the
-    timer popped."""
+def test_sleep_workloads_reach_every_path(monkeypatch):
+    """The idle-sleep inputs above exercise what they claim to: sleeps
+    ended by a notify, by the timer, and by a notify at the deadline both
+    before and after the timer popped."""
     def run(build):
         sim = live_kernel.Simulator()
         out = build(sim, live_kernel)
         sim.run()
         return out
-
-    lock = run(build_lock_handoffs)
-    assert lock.acquisitions == 36
-    assert lock.max_queue >= 1 and lock.total_wait_us > 0
 
     notified = []
     succeed = live_kernel.Sleeper.succeed

@@ -40,24 +40,19 @@ def test_serialize_single_small_parcel():
     p = Parcel("act", dest=1, src=0, args=("x",), arg_sizes=(8,))
     msg = serialize_parcels([p], COST)
     assert msg.non_zc_size == PARCEL_METADATA_BYTES + 8
-    assert msg.zc_sizes == ()
+    assert msg.zc_sizes == []
     assert msg.trans_size == 0
     assert not msg.has_zero_copy
     # without zero-copy chunks the plan is just the non-zc chunk
     assert msg.chunk_plan() == [("non_zc", msg.non_zc_size)]
 
 
-def test_eager_only_message_allocates_no_lists():
-    """The message keeps the caller's batch list, and an eager-only
-    message shares one empty zero-copy tuple instead of a list each."""
+def test_message_keeps_the_callers_batch_list():
+    """The message holds the batch list it was given, not a copy."""
     batch = [Parcel("act", dest=1, src=0, args=("x",), arg_sizes=(8,))
              for _ in range(3)]
     msg = serialize_parcels(batch, COST)
     assert msg.parcels is batch
-    assert msg.zc_sizes == () and not isinstance(msg.zc_sizes, list)
-    other = serialize_parcels([batch[0]], COST)
-    assert other.zc_sizes is msg.zc_sizes
-    assert split_args(batch[0], THRESH)[1] is msg.zc_sizes
     assert msg.total_bytes == msg.non_zc_size
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import (AllOf, AnyOf, Event, Interrupt, SimulationError,
                        Simulator, Timeout)
-from repro.sim.core import URGENT, Relay, Sleeper
+from repro.sim.core import URGENT, Sleeper
 
 
 def test_timeout_fires_at_delay():
@@ -267,19 +267,15 @@ def test_interrupt_retires_the_reused_resume_record():
     assert sim.event_count == 6
 
 
-@pytest.mark.parametrize("form", ["relay", "sleeper"])
-def test_interrupted_relay_and_sleeper_never_resume_the_next_wait(form):
-    """A relay's second record and a sleeper's resume record are pushed
-    after the interrupt; both belong to the retired record."""
+def test_interrupted_sleeper_never_resumes_the_next_wait():
+    """A sleeper's timer pushes its resume record after the interrupt; the
+    record belongs to the retired one."""
     sim = Simulator()
     log = []
 
     def proc(sim):
         try:
-            if form == "relay":
-                yield Relay(5.0)
-            else:
-                yield Sleeper(sim, 5.0)
+            yield Sleeper(sim, 5.0)
         except Interrupt:
             log.append(("interrupted", sim.now))
         yield 10.0
@@ -289,33 +285,8 @@ def test_interrupted_relay_and_sleeper_never_resume_the_next_wait(form):
     sim.schedule_call(2.0, lambda: p.interrupt())
     sim.run()
     assert log == [("interrupted", 2.0), ("resumed", 12.0)]
-    # the two records after the stale 5.0 entry (relay: its re-push;
-    # sleeper: the resume record the timer pushes) pop as no-ops
+    # the timer at 5.0 and the resume record it pushes pop as no-ops
     assert sim.event_count == 7
-
-
-def test_relay_resumes_like_a_succeed_later_event():
-    log = []
-
-    def relay_proc(sim):
-        v = yield Relay(0.25)
-        log.append((sim.now, v))
-
-    def event_proc(sim):
-        ev = sim.event()
-        sim.succeed_later(ev, 0.25)
-        v = yield ev
-        log.append((sim.now, v))
-
-    sims = []
-    for proc in (relay_proc, event_proc):
-        sim = Simulator()
-        sim.process(proc(sim))
-        sim.run()
-        sims.append(sim)
-    assert log == [(0.25, None), (0.25, None)]
-    assert sims[0].event_count == sims[1].event_count == 4
-    assert sims[0]._seq == sims[1]._seq
 
 
 def test_sleeper_wake_timer_and_misuse():

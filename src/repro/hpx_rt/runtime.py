@@ -80,7 +80,7 @@ class Locality:
         parcel = Parcel(action, dest, self.lid, args,
                         () if arg_sizes is None else tuple(arg_sizes),
                         0 if obs is None else next(runtime.parcel_ids))
-        self.stats.inc("parcels_created")
+        self.stats.counters["parcels_created"] += 1
         if dest == self.lid:
             # Local invocation: HPX short-circuits the network entirely.
             self._spawn_parcel_task(parcel)
@@ -110,7 +110,7 @@ class Locality:
     def _spawn_parcel_task(self, parcel: Parcel) -> None:
         """Queue ``parcel`` for execution: the parcel is its own queue
         entry, and a worker that pops it runs :meth:`_run_action`."""
-        self.stats.inc("parcels_executed")
+        self.stats.counters["parcels_executed"] += 1
         self.sched.push(parcel)
 
     def _run_action(self, worker: Worker, parcel: Parcel):

@@ -54,12 +54,12 @@ class Scheduler:
     # -- task queue -------------------------------------------------------
     def push(self, entry: QueueEntry) -> None:
         self._queue.append(entry)
-        self.stats.inc("tasks_pushed")
+        self.stats.counters["tasks_pushed"] += 1
         self.notify()
 
     def try_pop(self) -> Optional[QueueEntry]:
         if self._queue:
-            self.stats.inc("tasks_popped")
+            self.stats.counters["tasks_popped"] += 1
             return self._queue.popleft()
         return None
 
@@ -131,7 +131,7 @@ class Worker:
     def compute(self, us: float) -> float:
         """Application compute, scaled by the platform thread weight."""
         scaled = us / self._weight
-        self.stats.add("compute_us", scaled)
+        self.stats.accum["compute_us"] += scaled
         return scaled
 
     def compute_granular(self, us: float):
@@ -148,7 +148,7 @@ class Worker:
         """
         remaining = us / self._weight
         slice_us = self.cost.task_slice_us
-        self.stats.add("compute_us", remaining)
+        self.stats.accum["compute_us"] += remaining
         while remaining > 0.0:
             dt = min(slice_us, remaining)
             remaining -= dt
@@ -164,10 +164,10 @@ class Worker:
 
     def lock_acquired(self, lk: SpinLock, t0: float) -> None:
         """Post-acquire bookkeeping for hot call sites that inline
-        :meth:`lock` as a bare ``yield lk.acquire()`` (same event, same
+        :meth:`lock` as a bare ``yield lk.acquire()`` (same grant, same
         stats — minus one generator per acquisition)."""
         now = self.sim.now
-        self.stats.add("lock_wait_us", now - t0)
+        self.stats.accum["lock_wait_us"] += now - t0
         if self.obs is not None and now > t0:
             self.obs.complete("lock", "wait", t0, now,
                               loc=self.locality.lid, tid=self.name,
@@ -191,7 +191,7 @@ class Worker:
             entry = sched.try_pop()
             if entry is not None:
                 yield self.cpu(cost.task_dispatch_us)
-                self.stats.inc("tasks_run")
+                self.stats.counters["tasks_run"] += 1
                 cls = entry.__class__
                 if cls is Parcel:
                     body = run_action(self, entry)
@@ -214,9 +214,9 @@ class Worker:
                 continue
 
             did = yield from self.locality.parcelport.background_work(self)
-            self.stats.inc("background_calls")
+            self.stats.counters["background_calls"] += 1
             if did:
-                self.stats.inc("background_useful")
+                self.stats.counters["background_useful"] += 1
                 backoff = cost.idle_poll_min_us
                 continue
 

@@ -52,10 +52,10 @@ class CompletionQueue:
             self.max_depth = len(self._items)
 
     def pop(self) -> Tuple[Optional[Any], float]:
-        self.stats.inc("pops")
+        self.stats.counters["pops"] += 1
         if self._items:
             return self._items.popleft(), self.params.cq_pop_us
-        self.stats.inc("empty_pops")
+        self.stats.counters["empty_pops"] += 1
         return None, self.params.cq_pop_us * 0.5
 
     def __len__(self) -> int:

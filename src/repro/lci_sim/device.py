@@ -293,7 +293,7 @@ class LciDevice:
         p = self.params
         pressure = self._callers.touch(caller, self.sim.now)
         if not self.progress_lock.try_acquire():
-            self.stats.inc("progress_contended")
+            self.stats.counters["progress_contended"] += 1
             return False, p.trylock_fail_us
         mult = 1.0 + p.contention_factor * max(0, pressure - 1)
         if caller != self._last_caller:
@@ -304,7 +304,7 @@ class LciDevice:
     def _progress_body(self, worker, mult: float):
         """Generator → int: the locked section of :meth:`progress`."""
         p = self.params
-        self.stats.inc("progress_calls")
+        self.stats.counters["progress_calls"] += 1
         t0 = self.sim.now
         yield worker.cpu(p.progress_base_us * mult)
         handled = 0

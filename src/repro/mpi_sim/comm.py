@@ -157,7 +157,7 @@ class MpiComm:
         t_acq = self.sim.now
         p = self.params
         if not self.nic.rx_ring:
-            self.stats.inc("progress_calls")
+            self.stats.counters["progress_calls"] += 1
             yield worker.cpu(p.progress_base_us * 0.25
                              + self.pending_rts * p.unexpected_tax_per_entry_us)
         else:
@@ -180,7 +180,7 @@ class MpiComm:
         t_acq = self.sim.now
         p = self.params
         if not self.nic.rx_ring:
-            self.stats.inc("progress_calls")
+            self.stats.counters["progress_calls"] += 1
             yield worker.cpu(p.progress_base_us * 0.25
                              + self.pending_rts * p.unexpected_tax_per_entry_us)
         else:
@@ -195,7 +195,7 @@ class MpiComm:
     def _progress_locked(self, worker):
         p = self.params
         net = self.nic.params
-        self.stats.inc("progress_calls")
+        self.stats.counters["progress_calls"] += 1
         if not self.nic.rx_ring:
             # Nothing new on the wire: a quick queue check.  Buffered
             # eager messages are not re-walked, but UCX does revisit its

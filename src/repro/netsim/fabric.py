@@ -66,8 +66,9 @@ class Fabric:
         dst = self.nics.get(msg.dst)
         if dst is None:
             raise KeyError(f"no NIC for destination node {msg.dst}")
-        self.stats.inc("msgs")
-        self.stats.add("bytes", msg.size)
+        stats = self.stats
+        stats.counters["msgs"] += 1
+        stats.accum["bytes"] += msg.size
         src = msg.src
         dseq = self._dseq
         n = dseq.get(src, 0)

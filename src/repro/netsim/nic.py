@@ -65,8 +65,9 @@ class Nic:
         assert self.fabric is not None, "NIC not attached to a fabric"
         msg.msg_id = next(self.fabric.msg_ids)
         msg.inject_t = self.sim.now
-        self.stats.inc("tx_msgs")
-        self.stats.add("tx_bytes", msg.size)
+        stats = self.stats
+        stats.counters["tx_msgs"] += 1
+        stats.accum["tx_bytes"] += msg.size
         done_t = self.tx.finish_time(self.params.tx_time(msg.size))
         self.fabric.transmit(msg, done_t)
         return self.params.post_cost_us
@@ -115,8 +116,9 @@ class Nic:
             self.obs.wire_arrival(msg, self.node_id)
         self.ensure_vchans(msg.vchan + 1)
         self.rx_rings[msg.vchan].append(msg)
-        self.stats.inc("rx_msgs")
-        self.stats.add("rx_bytes", msg.size)
+        stats = self.stats
+        stats.counters["rx_msgs"] += 1
+        stats.accum["rx_bytes"] += msg.size
         while self._arrival_waiters:
             self._arrival_waiters.popleft().succeed()
         if self.on_deliver is not None:

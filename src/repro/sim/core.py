@@ -45,6 +45,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Sleeper",
+    "LockGrant",
     "Process",
     "AllOf",
     "AnyOf",
@@ -87,13 +88,13 @@ class _Wake:
     interrupts, resumes off processed events, :meth:`Simulator.succeed_later`).
 
     Quacks just enough like a processed-event carrier for the run loop
-    (``callbacks``/``processed``) and for :meth:`Process._resume`
-    (``_ok``/``_value``); never escapes the kernel.  Compared to a full
-    :class:`Event` it skips ``sim``/``triggered`` bookkeeping and the
-    ``__init__`` call — call sites assign the three live slots directly.
+    (``callbacks``) and for :meth:`Process._resume` (``_ok``/``_value``);
+    never escapes the kernel.  Compared to a full :class:`Event` it skips
+    ``sim``/``triggered`` bookkeeping and the ``__init__`` call — call
+    sites assign the three slots directly.
     """
 
-    __slots__ = ("callbacks", "_value", "_ok", "processed")
+    __slots__ = ("callbacks", "_value", "_ok")
 
 
 def _resume_record() -> _Wake:
@@ -113,7 +114,7 @@ class Event:
     yielding them.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "triggered", "processed")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "triggered")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -121,9 +122,13 @@ class Event:
         self._value: Any = None
         self._ok: bool = True
         self.triggered = False
-        self.processed = False
 
     # -- introspection ---------------------------------------------------
+    @property
+    def processed(self) -> bool:
+        """True once the callbacks ran: the run loop clears the list."""
+        return self.callbacks is None
+
     @property
     def value(self) -> Any:
         """The payload passed to :meth:`succeed` (or the failure exception)."""
@@ -188,7 +193,6 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self.triggered = True
-        self.processed = False
         self.delay = delay
         seq = sim._seq
         sim._seq = seq + 1
@@ -215,7 +219,6 @@ class _Call(Event):
         self._value = None
         self._ok = True
         self.triggered = True
-        self.processed = False
         seq = sim._seq
         sim._seq = seq + 1
         _heappush(sim._heap, (sim.now + delay, NORMAL, seq, self))
@@ -246,7 +249,6 @@ class _Call1(Event):
         self._value = None
         self._ok = True
         self.triggered = True
-        self.processed = False
         seq = sim._seq
         sim._seq = seq + 1
         _heappush(sim._heap, (sim.now + delay, NORMAL, seq, self))
@@ -276,15 +278,13 @@ class Sleeper:
     on the ``wake`` event it replaces.
     """
 
-    __slots__ = ("sim", "callbacks", "processed", "triggered", "fired",
-                 "_rec")
+    __slots__ = ("sim", "callbacks", "triggered", "fired", "_rec")
 
     def __init__(self, sim: "Simulator", delay: float):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self.sim = sim
         self.callbacks = _SLEEPER_CALLBACKS
-        self.processed = False
         self.triggered = False
         #: the condition fired: the resume record is (or was) in the heap
         self.fired = False
@@ -306,6 +306,40 @@ class Sleeper:
         return self
 
 
+class LockGrant:
+    """A :class:`~repro.sim.primitives.SpinLock` grant in one record.
+
+    ``SpinLock.acquire()`` returns it and the acquiring process yields it
+    at once.  The lock pushes it one CAS (``acquire_cost``) after the
+    acquire, or after the release that hands the lock over; when it pops
+    it pushes the waiting process's resume record at that time.  These
+    are the records, with the seqs, of the ``Event`` a one-CAS-later
+    ``schedule_call`` triggers.
+    """
+
+    __slots__ = ("sim", "callbacks", "_rec")
+
+    def __init__(self, sim: "Simulator"):
+        self.sim = sim
+        self.callbacks = _GRANT_CALLBACKS
+        #: the waiting process's resume record, set when it is yielded
+        self._rec: Optional[_Wake] = None
+
+
+def _resume_waiter(waiter: "Sleeper | LockGrant") -> None:
+    """Push the resume record of the process waiting on ``waiter`` at the
+    current time: a grant's pop, and the first pop of a sleeper's two."""
+    rec = waiter._rec
+    if rec is None:
+        raise SimulationError(
+            f"a {type(waiter).__name__} fired before a process waited on "
+            f"it; yield it right after it is made")
+    sim = waiter.sim
+    seq = sim._seq
+    sim._seq = seq + 1
+    _heappush(sim._heap, (sim.now, NORMAL, seq, rec))
+
+
 def _sleeper_fire(sleeper: Sleeper) -> None:
     """Pop of a sleeper's timer or wake record: the first one resumes the
     sleeping process through its resume record."""
@@ -314,18 +348,13 @@ def _sleeper_fire(sleeper: Sleeper) -> None:
     if sleeper.fired:
         return
     sleeper.fired = True
-    rec = sleeper._rec
-    if rec is None:
-        raise SimulationError("a Sleeper fired before a process waited on "
-                              "it; yield it right after it is made")
-    sim = sleeper.sim
-    seq = sim._seq
-    sim._seq = seq + 1
-    _heappush(sim._heap, (sim.now, NORMAL, seq, rec))
+    _resume_waiter(sleeper)
 
 
-#: every sleeper's callback list (the run loop only iterates it)
-_SLEEPER_CALLBACKS = [_sleeper_fire]
+#: every sleeper's and every grant's callbacks, shared, so immutable: the
+#: run loop only iterates them, and conditions refuse both kinds of record
+_SLEEPER_CALLBACKS = (_sleeper_fire,)
+_GRANT_CALLBACKS = (_resume_waiter,)
 
 
 class Process(Event):
@@ -346,7 +375,6 @@ class Process(Event):
         self._value = None
         self._ok = True
         self.triggered = False
-        self.processed = False
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         # One bound method for the whole lifetime instead of a fresh
@@ -423,23 +451,19 @@ class Process(Event):
             return
         self._target = None
         sim = self.sim
-        sim._active_process = self
         try:
             if trigger._ok:
                 nxt = self.gen.send(trigger._value)
             else:
                 nxt = self.gen.throw(trigger._value)
         except StopIteration as stop:
-            sim._active_process = None
             self.succeed(stop.value, priority=URGENT)
             return
         except BaseException as exc:
-            sim._active_process = None
             if sim.strict:
                 raise
             self.fail(exc, priority=URGENT)
             return
-        sim._active_process = None
         cls = nxt.__class__
         if cls is float or cls is int:
             # Bare-delay yield (``yield worker.cpu(us)`` returns a float):
@@ -457,11 +481,11 @@ class Process(Event):
             sim._seq = seq + 1
             _heappush(sim._heap, (sim.now + nxt, NORMAL, seq, rec))
             return
-        if cls is Sleeper:
-            # The sleeper pushes the resume record when it fires.
+        if cls is Sleeper or cls is LockGrant:
+            # The sleeper or grant pushes the resume record when it fires.
             if nxt._rec is not None:
                 raise SimulationError(
-                    f"process {self.name!r} yielded a used Sleeper")
+                    f"process {self.name!r} yielded a used {cls.__name__}")
             rec = nxt._rec = self._rec
             rec.callbacks = self._resume_cbs
             self._target = rec
@@ -499,8 +523,14 @@ class _Condition(Event):
         self._value = None
         self._ok = True
         self.triggered = False
-        self.processed = False
         self.events = evs = list(events)
+        for ev in evs:
+            if not isinstance(ev, Event):
+                # A Sleeper's or grant's callbacks are shared by every
+                # record of its kind, and only its own process waits on it.
+                raise SimulationError(
+                    f"{type(self).__name__} over a {type(ev).__name__}: "
+                    f"conditions combine Events only")
         self._pending = len(evs)
         if not evs:
             self.succeed({})
@@ -575,7 +605,6 @@ class Simulator:
         #: next ``(time, priority, seq)`` tie-breaker; a plain int sequence
         #: (same values as the seed kernel's ``itertools.count``)
         self._seq: int = 0
-        self._active_process: Optional[Process] = None
         self.event_count = 0
 
     # -- factories ---------------------------------------------------------
@@ -634,7 +663,6 @@ class Simulator:
         ev._value = None
         ev._ok = True
         ev.triggered = True
-        ev.processed = False
         _heappush(self._heap, (self.now + delay, DELIVERY, key, ev))
         return ev
 
@@ -683,7 +711,6 @@ class Simulator:
             ev._value = None
             ev._ok = True
             ev.triggered = True
-            ev.processed = False
             _heappush(heap, (now + delay, NORMAL, seq, ev))
             seq += 1
             append(ev)
@@ -705,7 +732,6 @@ class Simulator:
         self.event_count += 1
         callbacks = event.callbacks
         event.callbacks = None
-        event.processed = True
         for cb in callbacks:
             cb(event)
 
@@ -763,7 +789,6 @@ class Simulator:
                     event = item[3]
                     callbacks = event.callbacks
                     event.callbacks = None
-                    event.processed = True
                     for cb in callbacks:
                         cb(event)
             else:
@@ -791,7 +816,6 @@ class Simulator:
                     event = item[3]
                     callbacks = event.callbacks
                     event.callbacks = None
-                    event.processed = True
                     for cb in callbacks:
                         cb(event)
         finally:
@@ -825,8 +849,3 @@ class Simulator:
         """Time of the next scheduled event (inf if none)."""
         key = self.next_key()
         return key[0] if key is not None else float("inf")
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process

@@ -20,9 +20,10 @@ All costs are in microseconds of virtual time.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush as _heappush
 from typing import Any, Deque, Optional
 
-from .core import Event, Simulator
+from .core import NORMAL, Event, LockGrant, Simulator
 
 __all__ = [
     "SpinLock",
@@ -72,16 +73,17 @@ class ContentionMeter:
 class SpinLock:
     """FIFO blocking spin lock.
 
-    ``acquire()`` returns an event; the caller owns the lock when it fires.
-    While waiting, the calling thread's core is considered busy (spinning),
-    which in this one-thread-per-core model is implicit: the process simply
-    cannot do anything else.
+    ``acquire()`` returns a :class:`~repro.sim.core.LockGrant`, which the
+    caller yields at once; it owns the lock when the grant resumes it.
+    While waiting, the calling thread's core is considered busy
+    (spinning), which in this one-thread-per-core model is implicit: the
+    process simply cannot do anything else.
 
     Statistics: ``total_wait_us``, ``acquisitions``, ``max_queue``.
     """
 
     __slots__ = ("sim", "name", "locked", "_waiters", "acquire_cost",
-                 "total_wait_us", "acquisitions", "max_queue", "_acq_time")
+                 "total_wait_us", "acquisitions", "max_queue")
 
     def __init__(self, sim: Simulator, name: str = "spinlock",
                  acquire_cost: float = 0.02):
@@ -93,35 +95,38 @@ class SpinLock:
         self.total_wait_us = 0.0
         self.acquisitions = 0
         self.max_queue = 0
-        self._acq_time = 0.0
 
-    def acquire(self) -> Event:
-        ev = Event(self.sim)
+    def acquire(self) -> LockGrant:
+        grant = LockGrant(self.sim)
         if not self.locked:
             self.locked = True
-            self.acquisitions += 1
-            self._acq_time = self.sim.now
-            # Even an uncontended acquire costs a CAS.  succeed_later is
-            # the slim form of schedule_call(cost, lambda: ev.succeed()):
-            # identical two-record schedule, no _Call/closure objects.
-            self.sim.succeed_later(ev, self.acquire_cost)
+            self._grant(grant)
         else:
-            self._waiters.append((self.sim.now, ev))
-            self.max_queue = max(self.max_queue, len(self._waiters))
-        return ev
+            waiters = self._waiters
+            waiters.append((self.sim.now, grant))
+            if len(waiters) > self.max_queue:
+                self.max_queue = len(waiters)
+        return grant
 
     def release(self) -> None:
         if not self.locked:
             raise RuntimeError(f"{self.name}: release of unheld lock")
         if self._waiters:
-            t_enq, ev = self._waiters.popleft()
+            t_enq, grant = self._waiters.popleft()
             self.total_wait_us += self.sim.now - t_enq
-            self.acquisitions += 1
-            self._acq_time = self.sim.now
-            # Hand-off cost: the waiter's CAS finally succeeds.
-            self.sim.succeed_later(ev, self.acquire_cost)
+            self._grant(grant)
         else:
             self.locked = False
+
+    def _grant(self, grant: LockGrant) -> None:
+        """Hand the lock to ``grant``'s waiter: even an uncontended
+        acquire costs a CAS, and a hand-off is the waiter's CAS finally
+        succeeding, so the grant pops ``acquire_cost`` from now."""
+        sim = self.sim
+        self.acquisitions += 1
+        seq = sim._seq
+        sim._seq = seq + 1
+        _heappush(sim._heap, (sim.now + self.acquire_cost, NORMAL, seq, grant))
 
     @property
     def queue_len(self) -> int:

@@ -87,7 +87,12 @@ class TimeSeries:
 
 
 class StatSet:
-    """A named bag of counters, accumulators and time series."""
+    """A named bag of counters, accumulators and time series.
+
+    The per-event sites (polls, queue pops, task and wire counts) update
+    ``counters[key] += n`` and ``accum[key] += v`` directly, which is
+    what :meth:`inc` and :meth:`add` do, minus the method call.
+    """
 
     def __init__(self, name: str = ""):
         self.name = name

@@ -12,15 +12,20 @@ The two deliberate behaviour *fixes* (the ``max_events`` off-by-one and the
 interrupt-vs-completion races) are excluded here — they are covered as
 regression tests in ``tests/test_sim_core.py``.
 
-The seed kernel has no idle :class:`~repro.sim.core.Sleeper`; its
-workloads run the seed-era spelling there, ``AnyOf([wake, Timeout])``.
+The seed kernel has no idle :class:`~repro.sim.core.Sleeper` and no
+:class:`~repro.sim.core.LockGrant`; its workloads run the seed-era
+spellings there, ``AnyOf([wake, Timeout])`` and an ``Event`` that a
+``schedule_call`` triggers one CAS later.
 """
+
+from collections import deque
 
 import pytest
 
 import repro.sim._seed_kernel as seed_kernel
 import repro.sim.core as live_kernel
 from repro.hpx_rt.scheduler import Scheduler
+from repro.sim.primitives import SpinLock
 
 
 def next_key(sim):
@@ -261,13 +266,93 @@ def build_sleep_notified_at_deadline(sim, mod):
     return woken
 
 
+class SeedLock:
+    """The FIFO spin lock of the seed era: an ``Event`` per acquire,
+    triggered one CAS (``cost``) after the acquire or the hand-off."""
+
+    def __init__(self, sim, cost):
+        self.sim = sim
+        self.cost = cost
+        self.locked = False
+        self.max_queue = 0
+        self._waiters = deque()
+
+    def acquire(self):
+        ev = self.sim.event()
+        if self.locked:
+            self._waiters.append(ev)
+            self.max_queue = max(self.max_queue, len(self._waiters))
+        else:
+            self.locked = True
+            self.sim.schedule_call(self.cost, ev.succeed)
+        return ev
+
+    def release(self):
+        if self._waiters:
+            self.sim.schedule_call(self.cost, self._waiters.popleft().succeed)
+        else:
+            self.locked = False
+
+
+def spin_lock(sim, mod, cost):
+    """A lock: a SpinLock live, a SeedLock on the seed."""
+    if mod is live_kernel:
+        return SpinLock(sim, acquire_cost=cost)
+    return SeedLock(sim, cost)
+
+
+def build_lock_uncontended(sim, mod):
+    # one process takes and drops the lock round after round: every
+    # grant is pushed by acquire() itself, with and without a CAS cost
+    locks = [spin_lock(sim, mod, 0.02), spin_lock(sim, mod, 0.0)]
+
+    def proc(sim):
+        for i in range(8):
+            lock = locks[i % 2]
+            yield lock.acquire()
+            yield delay(sim, mod, 0.5 + 0.25 * (i % 3))
+            lock.release()
+            yield delay(sim, mod, 1.0)
+
+    sim.process(proc(sim))
+    return locks
+
+
+def lock_contention(cost):
+    """Four processes with different hold times and gaps on one lock:
+    after the first acquire, nearly every grant is a hand-off."""
+    def build(sim, mod):
+        lock = spin_lock(sim, mod, cost)
+
+        def proc(sim, hold, gap, rounds):
+            for _ in range(rounds):
+                yield lock.acquire()
+                yield delay(sim, mod, hold)
+                lock.release()
+                if gap:
+                    yield delay(sim, mod, gap)
+
+        for hold, gap, rounds in ((1.0, 0.0, 6), (0.25, 0.5, 8),
+                                  (2.5, 0.0, 4), (0.5, 3.0, 7)):
+            sim.process(proc(sim, hold, gap, rounds))
+        return [lock]
+
+    build.__name__ = f"build_lock_contended_cost_{cost}"
+    return build
+
+
+build_lock_contended_free = lock_contention(0.0)
+build_lock_contended_cas = lock_contention(0.02)
+
+
 WORKLOADS = [build_timeout_storm, build_process_chain,
              build_process_ping_pong, build_conditions,
              build_condition_rounds, build_already_processed_resume,
              build_schedule_call_chains, build_interrupt_sleeping,
              build_urgent_ties, build_failing_processes,
              build_sleep_woken_before_timer, build_sleep_woken_by_timer,
-             build_sleep_notified_at_deadline]
+             build_sleep_notified_at_deadline, build_lock_uncontended,
+             build_lock_contended_free, build_lock_contended_cas]
 
 
 @pytest.mark.parametrize("build", WORKLOADS,
@@ -308,6 +393,22 @@ def test_sleep_workloads_reach_every_path(monkeypatch):
     assert notified == []
     assert run(build_sleep_notified_at_deadline) == [True] * 6
     assert notified == [True, False] * 3
+
+
+@pytest.mark.parametrize("build,max_queue", [
+    (build_lock_uncontended, [0, 0]),
+    (build_lock_contended_free, [3]),
+    (build_lock_contended_cas, [3]),
+])
+def test_lock_workloads_contend_as_claimed(build, max_queue):
+    """The uncontended lock input never queues a waiter; the contended
+    ones queue all three other processes behind the holder."""
+    for mod in (live_kernel, seed_kernel):
+        sim = mod.Simulator()
+        locks = build(sim, mod)
+        sim.run()
+        assert [lock.max_queue for lock in locks] == max_queue
+        assert not any(lock.locked for lock in locks)
 
 
 def test_batched_schedule_calls_matches_seed_individual_calls():
@@ -408,3 +509,32 @@ def test_octotiger_results_byte_identical_to_seed(cfg, total_us, events,
                         seed=7)
     assert res["total_time_us"] == total_us
     assert [sim.event_count for sim in built_sims] == [events]
+
+
+# lci_sr_sy_mt at the benchmark's msgrate_8b point: MessageRateParams(
+# msg_size=8, batch=50, total_msgs=2500), unlimited injection, seed 7.
+# Its workers notify sleepers whose timers already fired, whose wake
+# records then pop as no-ops; none of the points above does.  A kernel
+# that skipped those records would keep the times and lose the events.
+FIRED_SLEEPER_NOTIFY = ("lci_sr_sy_mt", 5182.369999999975, 5599.381897600024,
+                        91817, 58)
+
+
+def test_fired_sleeper_notify_point_pinned(built_sims, monkeypatch):
+    from repro.bench.message_rate import (MessageRateParams,
+                                          run_message_rate)
+    cfg, inject_us, comm_us, events, late = FIRED_SLEEPER_NOTIFY
+    notified = []
+    succeed = live_kernel.Sleeper.succeed
+
+    def logged_succeed(self):
+        notified.append(self.fired)
+        return succeed(self)
+
+    monkeypatch.setattr(live_kernel.Sleeper, "succeed", logged_succeed)
+    res = run_message_rate(cfg, MessageRateParams(msg_size=8, batch=50,
+                                                  total_msgs=2500), seed=7)
+    assert res.inject_time_us == inject_us
+    assert res.comm_time_us == comm_us
+    assert [sim.event_count for sim in built_sims] == [events]
+    assert sum(notified) == late

@@ -2,8 +2,9 @@
 
 import pytest
 
+import repro.sim.core as core
 from repro.sim import (AllOf, AnyOf, Event, Interrupt, SimulationError,
-                       Simulator, Timeout)
+                       Simulator, SpinLock, Timeout)
 from repro.sim.core import URGENT, Sleeper
 
 
@@ -318,6 +319,86 @@ def test_sleeper_fired_before_anyone_waits_raises():
     sim = Simulator()
     Sleeper(sim, 1.0)
     with pytest.raises(SimulationError, match="yield it right after"):
+        sim.run()
+
+
+def test_conditions_refuse_sleepers_and_lock_grants():
+    """A Sleeper or a lock grant shares its callbacks with every record
+    of its kind; a condition added to them would run in every later
+    sleep or grant, in any simulator of the process."""
+    sim = Simulator()
+    lock = SpinLock(sim)
+    for waitable in (Sleeper(sim, 1.0), lock.acquire(), lock.acquire()):
+        for cond in (AnyOf, AllOf):
+            with pytest.raises(SimulationError, match="Events only"):
+                cond(sim, [sim.timeout(1.0), waitable])
+    assert core._SLEEPER_CALLBACKS == (core._sleeper_fire,)
+    assert core._GRANT_CALLBACKS == (core._resume_waiter,)
+
+    # a later simulator's sleeps are untouched
+    sim = Simulator()
+    log = []
+
+    def proc(sim):
+        yield Sleeper(sim, 2.0)
+        log.append(sim.now)
+
+    sim.process(proc(sim))
+    sim.run()
+    assert log == [2.0]
+
+
+def test_lock_waiter_interrupted_while_queued_is_never_resumed():
+    """The queued waiter's grant still pops when the lock is handed to
+    it, and pushes the resume record it was yielded with; that record
+    belongs to the retired wait, not to the one after the interrupt."""
+    sim = Simulator()
+    lock = SpinLock(sim, acquire_cost=0.5)
+    log = []
+
+    def holder(sim):
+        yield lock.acquire()
+        yield 5.0
+        lock.release()
+
+    def waiter(sim):
+        try:
+            yield lock.acquire()
+            log.append(("granted", sim.now))
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+        yield 10.0
+        log.append(("resumed", sim.now))
+
+    sim.process(holder(sim))
+    p = sim.process(waiter(sim))
+    sim.schedule_call(2.0, lambda: p.interrupt())
+    sim.run()
+    assert log == [("interrupted", 2.0), ("resumed", 12.0)]
+    # the hand-off at 5.5 still happened: the waiter holds the lock
+    assert lock.locked and lock.acquisitions == 2
+    # 2 boots, holder's grant + resume and its 5.0 delay, the call, the
+    # interrupt, the hand-off grant at 6.0 and the stale resume it
+    # pushes, the 12.0 resume and 2 completions
+    assert sim.event_count == 12
+
+
+def test_lock_grant_misuse():
+    sim = Simulator()
+    SpinLock(sim).acquire()              # nobody yields the grant
+    with pytest.raises(SimulationError, match="LockGrant fired before"):
+        sim.run()
+
+    sim = Simulator()
+    lock = SpinLock(sim)
+
+    def proc(sim):
+        grant = lock.acquire()
+        yield grant
+        yield grant
+
+    sim.process(proc(sim))
+    with pytest.raises(SimulationError, match="used LockGrant"):
         sim.run()
 
 

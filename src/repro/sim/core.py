@@ -13,13 +13,13 @@ The kernel is intentionally simpy-like (generator-coroutine processes that
   bit-identical schedules.
 * There is no wall-clock coupling anywhere.
 
-The hot paths (``run``, ``Timeout``, ``Process._resume``, ``schedule_call``)
-are hand-optimised — heap pushes inlined, each process waiting through one
-reusable ``_Wake`` record, idle-sleep timers on a heap of their own, the
-sequence counter a plain int — under a hard determinism contract: the
-``(time, priority, seq)`` schedule, the ``event_count``, and every
-simulated result are bit-identical to the pre-optimisation kernel (kept
-frozen in :mod:`repro.sim._seed_kernel` and compared against in
+The hot paths (``run``, ``Timeout``, ``schedule_call``) are hand-optimised
+— heap pushes inlined, each process waiting through one reusable resume
+record that the run loop resumes itself, idle-sleep timers on a heap of
+their own, the sequence counter a plain int — under a hard determinism
+contract: the ``(time, priority, seq)`` schedule, the ``event_count``, and
+every simulated result are bit-identical to the pre-optimisation kernel
+(kept frozen in :mod:`repro.sim._seed_kernel` and compared against in
 ``tests/test_determinism_kernel.py``).  See docs/PERFORMANCE.md for the
 full catalogue of fast paths.
 
@@ -84,8 +84,8 @@ class Interrupt(Exception):
 
 
 class _Wake:
-    """Bare heap record for internal wake-ups (a process's resume record,
-    interrupts, resumes off processed events, :meth:`Simulator.succeed_later`).
+    """Bare heap record for internal wake-ups (interrupts, resumes off
+    processed events, :meth:`Simulator.succeed_later`).
 
     Quacks just enough like a processed-event carrier for the run loop
     (``callbacks``) and for :meth:`Process._resume` (``_ok``/``_value``);
@@ -97,12 +97,26 @@ class _Wake:
     __slots__ = ("callbacks", "_value", "_ok")
 
 
-def _resume_record() -> _Wake:
-    """A process's reusable resume record: always ``_ok``, value None."""
-    rec = _Wake()
-    rec._ok = True
-    rec._value = None
-    return rec
+class _Resume:
+    """A process's resume record: the one heap record that boots it and
+    wakes it from a bare delay, a :class:`Sleeper` or a
+    :class:`LockGrant`.
+
+    The run loop recognises it by class and sends into ``proc``'s
+    generator itself.  It resumes ``proc`` only while it is the
+    process's wait target: an interrupt retires it (the process makes a
+    new one), so a retired record still in a heap pops as a no-op.
+    """
+
+    __slots__ = ("proc",)
+
+    #: what :meth:`Process._resume` reads off a trigger: always a
+    #: successful wake-up with no value
+    _ok = True
+    _value = None
+
+    def __init__(self, proc: "Process"):
+        self.proc = proc
 
 
 class Event:
@@ -271,25 +285,24 @@ class Sleeper:
     Yielded by the sleeping process right after it is made.  It pushes
     the records the three-event form pushed, with the same seqs: the
     timer at construction — onto the simulator's idle heap, since a woken
-    sleeper leaves it behind until its deadline — a wake record when
-    :meth:`succeed` is called, and, when the first of those two pops, the
-    sleeping process's resume record at that time.  The later of the two
-    pops as a no-op.  ``triggered`` means the wake half fired, exactly as
-    on the ``wake`` event it replaces.
+    sleeper leaves it behind until its deadline — and a wake record when
+    :meth:`succeed` is called.  The first of those two to pop hands over
+    to the sleeping process at that time (see :class:`Simulator`), and
+    the later one pops as a no-op.  ``triggered`` means the wake half fired,
+    exactly as on the ``wake`` event it replaces.
     """
 
-    __slots__ = ("sim", "callbacks", "triggered", "fired", "_rec")
+    __slots__ = ("sim", "triggered", "fired", "_rec")
 
     def __init__(self, sim: "Simulator", delay: float):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self.sim = sim
-        self.callbacks = _SLEEPER_CALLBACKS
         self.triggered = False
-        #: the condition fired: the resume record is (or was) in the heap
+        #: the first record popped: the sleeper was handed over
         self.fired = False
         #: the waiting process's resume record, set when it is yielded
-        self._rec: Optional[_Wake] = None
+        self._rec: Optional[_Resume] = None
         seq = sim._seq
         sim._seq = seq + 1
         _heappush(sim._idle, (sim.now + delay, NORMAL, seq, self))
@@ -312,49 +325,18 @@ class LockGrant:
     ``SpinLock.acquire()`` returns it and the acquiring process yields it
     at once.  The lock pushes it one CAS (``acquire_cost``) after the
     acquire, or after the release that hands the lock over; when it pops
-    it pushes the waiting process's resume record at that time.  These
-    are the records, with the seqs, of the ``Event`` a one-CAS-later
-    ``schedule_call`` triggers.
+    it hands over to the waiting process at that time.  These are the
+    records, with the seqs, of the ``Event`` a one-CAS-later
+    ``schedule_call`` triggers.  A grant whose waiter was interrupted
+    passes the lock on with ``lock.release()``.
     """
 
-    __slots__ = ("sim", "callbacks", "_rec")
+    __slots__ = ("lock", "_rec")
 
-    def __init__(self, sim: "Simulator"):
-        self.sim = sim
-        self.callbacks = _GRANT_CALLBACKS
+    def __init__(self, lock: Any):
+        self.lock = lock
         #: the waiting process's resume record, set when it is yielded
-        self._rec: Optional[_Wake] = None
-
-
-def _resume_waiter(waiter: "Sleeper | LockGrant") -> None:
-    """Push the resume record of the process waiting on ``waiter`` at the
-    current time: a grant's pop, and the first pop of a sleeper's two."""
-    rec = waiter._rec
-    if rec is None:
-        raise SimulationError(
-            f"a {type(waiter).__name__} fired before a process waited on "
-            f"it; yield it right after it is made")
-    sim = waiter.sim
-    seq = sim._seq
-    sim._seq = seq + 1
-    _heappush(sim._heap, (sim.now, NORMAL, seq, rec))
-
-
-def _sleeper_fire(sleeper: Sleeper) -> None:
-    """Pop of a sleeper's timer or wake record: the first one resumes the
-    sleeping process through its resume record."""
-    # Re-arm for the other record, which may still be in a heap.
-    sleeper.callbacks = _SLEEPER_CALLBACKS
-    if sleeper.fired:
-        return
-    sleeper.fired = True
-    _resume_waiter(sleeper)
-
-
-#: every sleeper's and every grant's callbacks, shared, so immutable: the
-#: run loop only iterates them, and conditions refuse both kinds of record
-_SLEEPER_CALLBACKS = (_sleeper_fire,)
-_GRANT_CALLBACKS = (_resume_waiter,)
+        self._rec: Optional[_Resume] = None
 
 
 class Process(Event):
@@ -364,10 +346,12 @@ class Process(Event):
     the yielded event fires, receiving ``event.value`` as the result of the
     ``yield`` expression.  The process *itself* is an event that triggers
     with the generator's return value, so processes can wait on each other.
+    A bare delay (a float), a :class:`Sleeper` and a :class:`LockGrant`
+    wake it through its resume record instead, which the run loop
+    resumes itself.
     """
 
-    __slots__ = ("gen", "name", "_target", "_bound_resume", "_rec",
-                 "_resume_cbs")
+    __slots__ = ("gen", "name", "_target", "_bound_resume", "_rec")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         self.sim = sim
@@ -378,17 +362,13 @@ class Process(Event):
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         # One bound method for the whole lifetime instead of a fresh
-        # ``self._resume`` allocation on every suspension.
+        # ``self._resume`` allocation on every wait on an Event.
         self._bound_resume = self._resume
-        # The callback list a resume record is armed with; the run loop
-        # only iterates it, so every wait shares it.
-        self._resume_cbs = [self._bound_resume]
-        # The reusable resume record: re-armed and re-pushed by every
-        # bare-delay and sleeper wait.  It is the boot record too, and the
-        # process's initial resume target, so stray callbacks can never
-        # start it twice.
-        rec = self._rec = _resume_record()
-        rec.callbacks = self._resume_cbs
+        # The reusable resume record: re-pushed by every bare-delay wait
+        # and handed over by every sleeper and grant.  It is the boot
+        # record too, and the process's initial wait target, so stray
+        # callbacks can never start it twice.
+        rec = self._rec = _Resume(self)
         self._target: Any = rec
         seq = sim._seq
         sim._seq = seq + 1
@@ -430,10 +410,10 @@ class Process(Event):
             return
         target = self._target
         if target is self._rec:
-            # The resume record may still sit in a heap (or be pushed
-            # later by a sleeper): retire it, so that entry's pop fails
-            # the target check instead of resuming the next wait.
-            self._rec = _resume_record()
+            # The resume record may still sit in a heap (or be handed
+            # over later by a sleeper or grant): retire it, so that pop
+            # fails the target check instead of resuming the next wait.
+            self._rec = _Resume(self)
         elif target is not None and target.callbacks is not None:
             try:
                 target.callbacks.remove(self._bound_resume)
@@ -443,6 +423,8 @@ class Process(Event):
         self._resume(wake)
 
     def _resume(self, trigger: Any) -> None:
+        """Resume off ``trigger``: an Event callback, a ``_Wake``, or the
+        resume record on the reference path (:meth:`Simulator.step`)."""
         # Only the currently registered target may resume the process; a
         # detached or superseded event's late callback is ignored.  This
         # closes the seed kernel's interrupt-vs-completion double-resume
@@ -450,7 +432,6 @@ class Process(Event):
         if self.triggered or trigger is not self._target:
             return
         self._target = None
-        sim = self.sim
         try:
             if trigger._ok:
                 nxt = self.gen.send(trigger._value)
@@ -460,35 +441,40 @@ class Process(Event):
             self.succeed(stop.value, priority=URGENT)
             return
         except BaseException as exc:
-            if sim.strict:
+            if self.sim.strict:
                 raise
             self.fail(exc, priority=URGENT)
             return
+        self._wait(nxt)
+
+    def _wait(self, nxt: Any) -> None:
+        """Make what the generator yielded the process's wait target.
+
+        :meth:`_resume` calls this for every yield; the run loop handles
+        a bare delay and a fresh sleeper or grant itself, the same way,
+        and calls it for everything else.
+        """
+        sim = self.sim
         cls = nxt.__class__
         if cls is float or cls is int:
             # Bare-delay yield (``yield worker.cpu(us)`` returns a float):
-            # re-arm and push the resume record — the same ``(now + d,
-            # NORMAL, seq)`` heap tuple, at the same seq-allocation point,
-            # as ``yield sim.timeout(d)``, minus the Timeout object, its
-            # callbacks list, and the callback-append on resume.
+            # push the resume record — the same ``(now + d, NORMAL, seq)``
+            # heap tuple, at the same seq-allocation point, as ``yield
+            # sim.timeout(d)``, minus the Timeout object.
             if nxt < 0:
                 raise SimulationError(
                     f"process {self.name!r} yielded negative delay {nxt!r}")
-            rec = self._rec
-            rec.callbacks = self._resume_cbs
-            self._target = rec
+            rec = self._target = self._rec
             seq = sim._seq
             sim._seq = seq + 1
             _heappush(sim._heap, (sim.now + nxt, NORMAL, seq, rec))
             return
         if cls is Sleeper or cls is LockGrant:
-            # The sleeper or grant pushes the resume record when it fires.
+            # The sleeper or grant hands over to the resume record.
             if nxt._rec is not None:
                 raise SimulationError(
                     f"process {self.name!r} yielded a used {cls.__name__}")
-            rec = nxt._rec = self._rec
-            rec.callbacks = self._resume_cbs
-            self._target = rec
+            nxt._rec = self._target = self._rec
             return
         if not isinstance(nxt, Event):
             raise SimulationError(
@@ -526,8 +512,8 @@ class _Condition(Event):
         self.events = evs = list(events)
         for ev in evs:
             if not isinstance(ev, Event):
-                # A Sleeper's or grant's callbacks are shared by every
-                # record of its kind, and only its own process waits on it.
+                # A Sleeper or a grant has no callbacks: the run loop
+                # hands it to the one process that yields it.
                 raise SimulationError(
                     f"{type(self).__name__} over a {type(ev).__name__}: "
                     f"conditions combine Events only")
@@ -584,6 +570,12 @@ class AnyOf(_Condition):
 
 class Simulator:
     """Heap-driven deterministic event loop.
+
+    Popped records dispatch by class.  A process's resume record resumes
+    the process, which :meth:`run` does itself, with no callback; a lock
+    grant, or the first of a sleeper's two records, hands over to the
+    waiting process by pushing its resume record at the current time;
+    every other record runs its callbacks.
 
     Parameters
     ----------
@@ -719,21 +711,54 @@ class Simulator:
 
     # -- execution -----------------------------------------------------------
     def step(self) -> None:
-        """Process the single next event.
+        """Process the single next record through the reference dispatch
+        (:meth:`_dispatch`).
 
-        Semantically identical to one iteration of :meth:`run` (which
-        inlines this body into its tight loops); kept as the single-step
-        API for tests and schedule tracing.
+        Semantically identical to one iteration of :meth:`run`, which
+        inlines the dispatch and resumes processes itself; kept as the
+        single-step API for tests and schedule tracing.
         """
-        t, _prio, _seq, event = _heappop(self._next_heap())
+        t, _prio, _seq, record = _heappop(self._next_heap())
         if t < self.now:
             raise SimulationError("time went backwards")
         self.now = t
         self.event_count += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        for cb in callbacks:
-            cb(event)
+        self._dispatch(record)
+
+    def _dispatch(self, record: Any) -> None:
+        """Process one popped record, by its class: the reference form of
+        :meth:`run`'s event/exhaustion loop, used by :meth:`step` and the
+        deadline loop."""
+        cls = record.__class__
+        if cls is _Resume:
+            record.proc._resume(record)
+        elif cls is Sleeper or cls is LockGrant:
+            self._hand_over(record)
+        else:
+            callbacks = record.callbacks
+            record.callbacks = None
+            for cb in callbacks:
+                cb(record)
+
+    def _hand_over(self, waiter: "Sleeper | LockGrant") -> None:
+        """A lock grant's pop, or the first pop of a sleeper's two: push
+        the waiting process's resume record at the current time.  A grant
+        whose waiter was interrupted passes the lock on instead."""
+        if waiter.__class__ is Sleeper:
+            if waiter.fired:
+                return
+            waiter.fired = True
+        rec = waiter._rec
+        if rec is None:
+            raise SimulationError(
+                f"a {type(waiter).__name__} fired before a process waited "
+                f"on it; yield it right after it is made")
+        if rec.proc._target is not rec and waiter.__class__ is LockGrant:
+            waiter.lock.release()
+            return
+        seq = self._seq
+        self._seq = seq + 1
+        _heappush(self._heap, (self.now, NORMAL, seq, rec))
 
     def run(self, until: "float | Event | None" = None,
             max_events: Optional[int] = None) -> Any:
@@ -762,13 +787,16 @@ class Simulator:
         heap = self._heap
         idle = self._idle
         pop = _heappop
+        push = _heappush
         limit = max_events if max_events is not None else float("inf")
         now = self.now
         processed = 0
         try:
             if deadline is None:
                 # Hot path: run to exhaustion or until ``stop_event``
-                # triggers, with the step() body inlined.
+                # triggers.  Records dispatch by class as in _dispatch,
+                # but the loop resumes processes itself.
+                hand_over = self._hand_over
                 while heap or idle:
                     if stop_event is not None \
                             and stop_event.callbacks is None:
@@ -786,14 +814,48 @@ class Simulator:
                         raise SimulationError("time went backwards")
                     self.now = now = t
                     processed += 1
-                    event = item[3]
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for cb in callbacks:
-                        cb(event)
+                    rec = item[3]
+                    cls = rec.__class__
+                    if cls is _Resume:
+                        proc = rec.proc
+                        if proc._target is not rec:
+                            continue            # retired by an interrupt
+                    elif cls is LockGrant or cls is Sleeper:
+                        hand_over(rec)
+                        continue
+                    else:
+                        callbacks = rec.callbacks
+                        rec.callbacks = None
+                        for cb in callbacks:
+                            cb(rec)
+                        continue
+                    proc._target = None
+                    try:
+                        nxt = proc.gen.send(None)
+                    except StopIteration as stop:
+                        proc.succeed(stop.value, priority=URGENT)
+                        continue
+                    except BaseException as exc:
+                        if self.strict:
+                            raise
+                        proc.fail(exc, priority=URGENT)
+                        continue
+                    cls = nxt.__class__
+                    if (cls is float or cls is int) and nxt >= 0:
+                        proc._target = rec
+                        seq = self._seq
+                        self._seq = seq + 1
+                        push(heap, (now + nxt, NORMAL, seq, rec))
+                    elif (cls is Sleeper or cls is LockGrant) \
+                            and nxt._rec is None:
+                        nxt._rec = proc._target = rec
+                    else:
+                        proc._wait(nxt)
             else:
-                # Deadline path: peek before popping so events beyond the
-                # deadline stay scheduled.
+                # Deadline path, through the reference dispatch (nothing
+                # in the runtime runs one): peek before popping so events
+                # beyond the deadline stay scheduled.
+                dispatch = self._dispatch
                 while heap or idle:
                     if stop_event is not None \
                             and stop_event.callbacks is None:
@@ -813,11 +875,7 @@ class Simulator:
                         raise SimulationError("time went backwards")
                     self.now = now = t
                     processed += 1
-                    event = item[3]
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for cb in callbacks:
-                        cb(event)
+                    dispatch(item[3])
         finally:
             self.event_count += processed
         if stop_event is not None:

@@ -97,7 +97,7 @@ class SpinLock:
         self.max_queue = 0
 
     def acquire(self) -> LockGrant:
-        grant = LockGrant(self.sim)
+        grant = LockGrant(self)
         if not self.locked:
             self.locked = True
             self._grant(grant)

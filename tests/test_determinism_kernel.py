@@ -411,6 +411,234 @@ def test_lock_workloads_contend_as_claimed(build, max_queue):
         assert not any(lock.locked for lock in locks)
 
 
+# ---------------------------------------------------------------------------
+# run() against step(): the run loop resumes processes itself, step() is
+# the reference dispatch
+# ---------------------------------------------------------------------------
+def logged(gen, sim, name, log):
+    """Drive ``gen`` as its process would, appending ``(now, name,
+    sim._seq)`` to ``log`` at every resume."""
+    value, exc = None, None
+    while True:
+        log.append((sim.now, name, sim._seq))
+        try:
+            nxt = gen.send(value) if exc is None else gen.throw(exc)
+        except StopIteration as stop:
+            return stop.value
+        try:
+            value, exc = (yield nxt), None
+        except Exception as thrown:      # an Interrupt or a failed wait
+            value, exc = None, thrown
+
+
+def resume_log(build, drive):
+    """Build ``build`` on a live simulator whose processes log every
+    resume and drive it with ``drive(sim, built)``; return the log and
+    the final ``(now, event_count, _seq)``."""
+    sim = live_kernel.Simulator(strict=False)
+    log = []
+    make = sim.process
+
+    def process(gen, name=""):
+        name = name or gen.__name__
+        return make(logged(gen, sim, name, log), name)
+
+    sim.process = process
+    drive(sim, build(sim, live_kernel))
+    return log, (sim.now, sim.event_count, sim._seq)
+
+
+def run_to_end(sim, _built):
+    sim.run()
+
+
+def step_to_end(sim, _built):
+    while sim.next_key() is not None:
+        sim.step()
+
+
+def build_cotemporal_hand_overs(sim, mod):
+    # Two hand-overs with other records due at the same instant, which a
+    # waiter resumed straight off its grant would overtake.  At 2.0 a
+    # lock grant pops ahead of a later-seq NORMAL call, which pushes an
+    # URGENT wake and a zero-delay wire delivery; all three run before
+    # the grant's resume record.  At 4.0 a grant pops ahead of a
+    # sleeper's timer on the idle heap, whose hand-over takes the next
+    # seq before the grant's waiter resumes.
+    lock = SpinLock(sim, acquire_cost=0.5)
+    ev = sim.event()
+    order = []
+
+    def waiter(sim):
+        yield 1.5
+        yield lock.acquire()             # grant at (2.0, NORMAL)
+        order.append(("granted", sim.now))
+        yield 1.5
+        lock.release()
+        yield lock.acquire()             # grant at (4.0, NORMAL)
+        order.append(("granted", sim.now))
+        lock.release()
+
+    def woken(sim):
+        yield ev
+        order.append(("urgent", sim.now))
+
+    def at_two():
+        order.append(("call", sim.now))
+        ev.succeed(priority=live_kernel.URGENT)
+        sim.schedule_delivery(0.0, order.append, ("delivery", sim.now),
+                              (0, 0))
+
+    def caller(sim):
+        yield 1.5                        # resumes after the acquire
+        sim.schedule_call(0.5, at_two)   # (2.0, NORMAL), later seq
+        yield 2.0
+        yield 0.0                        # resumes after the acquire
+        yield live_kernel.Sleeper(sim, 0.5)     # timer at 4.0
+        order.append(("slept", sim.now))
+
+    sim.process(waiter(sim))
+    sim.process(woken(sim))
+    sim.process(caller(sim))
+    return order
+
+
+def build_lock_waiter_interrupted(sim, mod):
+    # a waiter interrupted while queued: its grant passes the lock on to
+    # the waiter queued behind it
+    lock = SpinLock(sim, acquire_cost=0.5)
+
+    def holder(sim):
+        yield lock.acquire()
+        yield 5.0
+        lock.release()
+
+    def waiter(sim):
+        try:
+            yield lock.acquire()
+        except live_kernel.Interrupt:
+            yield 10.0
+
+    def next_waiter(sim):
+        yield lock.acquire()
+        yield 1.0
+        lock.release()
+
+    sim.process(holder(sim))
+    p = sim.process(waiter(sim))
+    sim.process(next_waiter(sim))
+    sim.schedule_call(2.0, p.interrupt)
+
+
+#: inputs for the run/step tie only: the seed kernel has no wire
+#: delivery priority, no Sleeper and no LockGrant
+RUN_STEP_ONLY = [build_cotemporal_hand_overs, build_lock_waiter_interrupted]
+
+
+@pytest.mark.parametrize("build", WORKLOADS + RUN_STEP_ONLY,
+                         ids=lambda b: b.__name__.replace("build_", ""))
+def test_run_resumes_as_step_does(build):
+    """Every process resumes at the same time and with the same seqs
+    allocated before it under run() as under step(), and both end on
+    the same ``(now, event_count, _seq)``."""
+    by_run = resume_log(build, run_to_end)
+    by_step = resume_log(build, step_to_end)
+    assert by_run[0] == by_step[0], "resume log diverged"
+    assert by_run[1] == by_step[1], "final (now, event_count, _seq) diverged"
+    assert by_run[0]
+
+
+def test_cotemporal_hand_overs_resume_in_seq_order():
+    """In the co-temporal input, what is due at a grant's instant runs
+    before its waiter resumes, under run() as under step()."""
+    expected = [("call", 2.0), ("urgent", 2.0), ("delivery", 2.0),
+                ("granted", 2.0), ("granted", 4.0), ("slept", 4.0)]
+    for drive in (run_to_end, step_to_end):
+        sim = live_kernel.Simulator()
+        order = build_cotemporal_hand_overs(sim, live_kernel)
+        drive(sim, order)
+        assert order == expected
+
+
+def snapshot(sim):
+    return sim.now, sim.event_count, sim._seq, sim.next_key()
+
+
+def first_hand_over(build):
+    """Steps until the first lock grant has popped: the count and the
+    state, whose next record is the waiter's resume record at ``now``."""
+    sim = live_kernel.Simulator()
+    build(sim, live_kernel)
+    n = 0
+    while sim._next_heap()[0][3].__class__ is not live_kernel.LockGrant:
+        sim.step()
+        n += 1
+    sim.step()
+    record = sim._next_heap()[0]
+    assert record[0] == sim.now and record[3].__class__ is live_kernel._Resume
+    return n + 1, snapshot(sim)
+
+
+def test_run_capped_between_hand_over_and_resume():
+    """``run(max_events=N)`` that ends on a grant leaves its resume
+    record in the heap, as N step()s do, and a later run() picks up from
+    there."""
+    build = build_lock_contended_cas
+    n, after_grant = first_hand_over(build)
+    snaps = []
+
+    def capped(sim, _built):
+        with pytest.raises(live_kernel.SimulationError, match="max_events"):
+            sim.run(max_events=n)
+        snaps.append(snapshot(sim))
+        sim.run()
+
+    def stepped(sim, _built):
+        for _ in range(n):
+            sim.step()
+        snaps.append(snapshot(sim))
+        step_to_end(sim, _built)
+
+    assert resume_log(build, capped) == resume_log(build, stepped)
+    assert snaps == [after_grant, after_grant]
+
+
+def build_lock_workers(sim, mod):
+    # two processes share a lock; the shorter one finishes first
+    lock = SpinLock(sim, acquire_cost=0.02)
+
+    def worker(sim, hold):
+        for _ in range(3):
+            yield lock.acquire()
+            yield hold
+            lock.release()
+            yield 0.25
+        return hold
+
+    return [sim.process(worker(sim, hold)) for hold in (0.5, 1.0)]
+
+
+def test_run_until_stops_on_a_process_completion():
+    """``run(until=proc)`` stops where stepping until the process's
+    completion is processed stops, with the other process mid-run."""
+    snaps = []
+
+    def until_first(sim, procs):
+        assert sim.run(until=procs[0]) == 0.5
+        snaps.append(snapshot(sim))
+        sim.run()
+
+    def step_first(sim, procs):
+        while not procs[0].processed:
+            sim.step()
+        snaps.append(snapshot(sim))
+        step_to_end(sim, procs)
+
+    assert (resume_log(build_lock_workers, until_first)
+            == resume_log(build_lock_workers, step_first))
+    assert snaps[0] == snaps[1] and snaps[0][3] is not None
+
+
 def test_batched_schedule_calls_matches_seed_individual_calls():
     """schedule_calls() must push heap tuples identical to a loop of
     seed-kernel schedule_call()s."""

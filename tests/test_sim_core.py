@@ -2,7 +2,6 @@
 
 import pytest
 
-import repro.sim.core as core
 from repro.sim import (AllOf, AnyOf, Event, Interrupt, SimulationError,
                        Simulator, SpinLock, Timeout)
 from repro.sim.core import URGENT, Sleeper
@@ -323,17 +322,15 @@ def test_sleeper_fired_before_anyone_waits_raises():
 
 
 def test_conditions_refuse_sleepers_and_lock_grants():
-    """A Sleeper or a lock grant shares its callbacks with every record
-    of its kind; a condition added to them would run in every later
-    sleep or grant, in any simulator of the process."""
+    """A Sleeper or a lock grant has no callbacks: the run loop hands it
+    to the one process that yields it, so a condition over one is
+    refused at construction and leaves no trace in later sleeps."""
     sim = Simulator()
     lock = SpinLock(sim)
     for waitable in (Sleeper(sim, 1.0), lock.acquire(), lock.acquire()):
         for cond in (AnyOf, AllOf):
             with pytest.raises(SimulationError, match="Events only"):
                 cond(sim, [sim.timeout(1.0), waitable])
-    assert core._SLEEPER_CALLBACKS == (core._sleeper_fire,)
-    assert core._GRANT_CALLBACKS == (core._resume_waiter,)
 
     # a later simulator's sleeps are untouched
     sim = Simulator()
@@ -350,11 +347,13 @@ def test_conditions_refuse_sleepers_and_lock_grants():
 
 def test_lock_waiter_interrupted_while_queued_is_never_resumed():
     """The queued waiter's grant still pops when the lock is handed to
-    it, and pushes the resume record it was yielded with; that record
-    belongs to the retired wait, not to the one after the interrupt."""
+    it, but its resume record belongs to the retired wait, not to the
+    one after the interrupt: the grant passes the lock on to the next
+    waiter instead of leaving it held by no one."""
     sim = Simulator()
     lock = SpinLock(sim, acquire_cost=0.5)
     log = []
+    granted = []
 
     def holder(sim):
         yield lock.acquire()
@@ -370,17 +369,26 @@ def test_lock_waiter_interrupted_while_queued_is_never_resumed():
         yield 10.0
         log.append(("resumed", sim.now))
 
+    def next_waiter(sim):
+        yield lock.acquire()             # queued behind the interrupted one
+        granted.append(sim.now)
+        yield 1.0
+        lock.release()
+
     sim.process(holder(sim))
     p = sim.process(waiter(sim))
+    sim.process(next_waiter(sim))
     sim.schedule_call(2.0, lambda: p.interrupt())
     sim.run()
     assert log == [("interrupted", 2.0), ("resumed", 12.0)]
-    # the hand-off at 5.5 still happened: the waiter holds the lock
-    assert lock.locked and lock.acquisitions == 2
-    # 2 boots, holder's grant + resume and its 5.0 delay, the call, the
-    # interrupt, the hand-off grant at 6.0 and the stale resume it
-    # pushes, the 12.0 resume and 2 completions
-    assert sim.event_count == 12
+    # hand-off at 5.5 to the interrupted waiter, its grant at 6.0 hands
+    # the lock on, and the next waiter's grant pops one CAS later
+    assert granted == [6.5]
+    assert not lock.locked and lock.acquisitions == 3 and lock.max_queue == 2
+    # 3 boots, holder's grant + resume and its 5.0 delay, the call, the
+    # interrupt, the passed-on grant at 6.0, the next waiter's grant +
+    # resume and its 1.0 delay, the 12.0 resume and 3 completions
+    assert sim.event_count == 16
 
 
 def test_lock_grant_misuse():

@@ -132,6 +132,9 @@ class Parcelport(abc.ABC):
                                              Optional[Callable]]]] = {}
         self._backlog_total = 0
         self.backlog_peak = 0
+        #: the reliability layer's ``credit_epoch`` at the last backlog
+        #: pass that drained nothing (see :meth:`_flow_pump`)
+        self._futile_epoch = -1
         #: (dest, callback) pairs fired when the dest backlog has room
         self._accept_waiters: List[Tuple[int, Callable[[int], None]]] = []
         if (self.flow is not None and self.reliability is not None
@@ -240,6 +243,15 @@ class Parcelport(abc.ABC):
 
         Pure bookkeeping when idle (no simulated cost) so a flow-enabled
         but unloaded run stays byte-identical to one without the policy.
+
+        A pass that drains nothing records the reliability layer's
+        ``credit_epoch`` in ``_futile_epoch``, and background work skips
+        the pump while that epoch holds and no accept-waiter is
+        registered.  This is exact: a send is queued only when its
+        destination has no credit or already has a queue, and a
+        destination gains credit only through a release, which moves the
+        epoch.  So until then every queued destination is still out of
+        credit and a pass would drain nothing again.
         """
         did = False
         rel = self.reliability
@@ -263,6 +275,8 @@ class Parcelport(abc.ABC):
                     did = True
                     self.stats.inc("backlog_drains")
                     yield from self.send_message(worker, conn, msg, cb)
+            if credits_on and not did:
+                self._futile_epoch = rel.credit_epoch
         if self._accept_waiters:
             keep: List[Tuple[int, Callable[[int], None]]] = []
             fired: List[Tuple[int, Callable[[int], None]]] = []
@@ -386,15 +400,16 @@ class Parcelport(abc.ABC):
                 f"message seq={entry.seq} to locality {entry.msg.dest} "
                 f"failed after {entry.attempts} retransmissions"))
 
-    def _reliability_poll(self, worker: Worker):
-        """Generator → bool: one slice of retransmit/reap work.
+    def _reliability_expire(self, worker: Worker, now: float):
+        """Generator → bool: retransmit the sends and reap the receive
+        chains whose deadlines passed by ``now``.
 
-        Called from background work only when :attr:`reliability` is set.
+        Background work charges the poll itself and builds this generator
+        only when :meth:`ReliabilityLayer.deadline_due` found a live
+        expired deadline at the poll's start, ``now``.
         """
         rel = self.reliability
-        now = self.sim.now
         did = False
-        yield worker.cpu(rel.policy.poll_cost_us)
         for entry in rel.take_expired(now):
             did = True
             if entry.attempts >= rel.policy.max_retries:

@@ -292,10 +292,14 @@ class MpiParcelport(Parcelport):
         One generator for the whole call rather than one per round.  The
         sub-polls that yield nothing and charge nothing when idle
         (pending scan, flow pump) are skipped at the call site, so an idle
-        round builds no generator for them.
+        round builds no generator for them.  The reliability poll charges
+        its cost here and builds the expiry generator only when a
+        deadline is due; the flow pump also waits for a returned credit
+        while no accept-waiter is registered.
         """
         did_any = False
         idle_rounds = 0
+        rel = self.reliability
         for _ in range(rounds if rounds is not None else self.poll_rounds):
             yield worker.cpu(self.cost.background_call_us)
             did = False
@@ -319,10 +323,20 @@ class MpiParcelport(Parcelport):
             # (b) round-robin over the pending connection list
             if self.pending:
                 did = (yield from self._scan_pending(worker)) or did
-            if self.reliability is not None:
-                did = (yield from self._reliability_poll(worker)) or did
-            if self.flow is not None and (self._backlog_total
-                                          or self._accept_waiters):
+            if rel is not None:
+                # the scans get the poll's start time
+                now = self.sim.now
+                yield worker.cpu(rel.policy.poll_cost_us)
+                if rel.deadline_due(now):
+                    did = (yield from self._reliability_expire(worker, now)) \
+                        or did
+            # A backlog (only a credit window makes one) that drained
+            # nothing stays undrainable until a credit returns
+            # (Parcelport._flow_pump has the argument).
+            if self.flow is not None and (
+                    self._accept_waiters
+                    or (self._backlog_total
+                        and rel.credit_epoch != self._futile_epoch)):
                 did = (yield from self._flow_pump(worker)) or did
             if did:
                 did_any = True

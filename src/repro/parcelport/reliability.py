@@ -84,6 +84,9 @@ class ReliabilityLayer:
         # per-peer credit windows (flow control; 0 = disabled)
         self.credit_window = 0
         self._credits: Dict[int, int] = {}
+        #: credit releases so far (acks and drops); the backlog pump
+        #: rescans only after it moves
+        self.credit_epoch = 0
         # receiver side
         self._seen: Set[Tuple[int, int]] = set()
         self._watched: Dict[int, "Connection"] = {}
@@ -133,6 +136,7 @@ class ReliabilityLayer:
             raise RuntimeError(
                 f"credit release beyond window for peer {peer}")
         self._credits[peer] = left + 1
+        self.credit_epoch += 1
         self.stats.inc("credits_replenished")
 
     def credits_left(self, peer: int) -> int:
@@ -208,6 +212,40 @@ class ReliabilityLayer:
         if entry is not None and entry.deadline > self.sim.now:
             entry.deadline = self.sim.now
             heapq.heappush(self._heap, (entry.deadline, seq))
+
+    def deadline_due(self, now: float) -> bool:
+        """True if :meth:`take_expired` or :meth:`take_expired_recvs`
+        would return an entry at ``now``.
+
+        Does the upkeep those scans do at their heap tops, in their
+        order: drops the keys of acked or refreshed sends and re-arms the
+        receive chains that are still active.  A False answer leaves both
+        heaps as a pair of empty scans at ``now`` would; a True one stops
+        at the live entry the scans then pop.
+        """
+        heap = self._heap
+        while heap:
+            deadline, seq = heap[0]
+            if deadline > now:
+                break
+            entry = self._table.get(seq)
+            if entry is not None and entry.deadline <= now:
+                return True
+            heapq.heappop(heap)               # acked, or refreshed
+        recv_heap = self._recv_heap
+        while recv_heap:
+            deadline, cid = recv_heap[0]
+            if deadline > now:
+                break
+            conn = self._watched.get(cid)
+            if conn is not None:
+                fresh = conn.last_active + self.policy.recv_expiry_us
+                if fresh <= now:
+                    return True
+            heapq.heappop(recv_heap)
+            if conn is not None:
+                heapq.heappush(recv_heap, (fresh, cid))   # still active
+        return False
 
     def take_expired(self, now: float,
                      limit: Optional[int] = None) -> List[InFlight]:

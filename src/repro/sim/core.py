@@ -328,7 +328,9 @@ class LockGrant:
     it hands over to the waiting process at that time.  These are the
     records, with the seqs, of the ``Event`` a one-CAS-later
     ``schedule_call`` triggers.  A grant whose waiter was interrupted
-    passes the lock on with ``lock.release()``.
+    passes the lock on with ``lock.release()``: at its pop if the
+    interrupt came first, else when the interrupt lands before the
+    waiter's resume record pops (see :meth:`Process.interrupt`).
     """
 
     __slots__ = ("lock", "_rec")
@@ -389,7 +391,14 @@ class Process(Event):
           second time;
         * interrupting a process that has not started yet lets it start
           normally and receive the interrupt at its first ``yield`` (where
-          it is catchable).
+          it is catchable);
+        * interrupting a process that waits on a lock grant withdraws the
+          acquire: the process never owns the lock, which passes to the
+          next waiter (or is freed).  That holds while the grant is
+          queued, and also once it has popped but its resume record has
+          not: the interrupt, not the grant, is what the process gets.
+          Once the grant has resumed it, the lock is the process's to
+          release.
         """
         if self.triggered:
             return
@@ -414,6 +423,12 @@ class Process(Event):
             # over later by a sleeper or grant): retire it, so that pop
             # fails the target check instead of resuming the next wait.
             self._rec = _Resume(self)
+            # A lock grant that already handed over to the record (the
+            # only five-field records) was never taken up: pass it on.
+            for item in self.sim._heap:
+                if item[3] is target and len(item) == 5:
+                    item[4].lock.release()
+                    break
         elif target is not None and target.callbacks is not None:
             try:
                 target.callbacks.remove(self._bound_resume)
@@ -718,12 +733,13 @@ class Simulator:
         inlines the dispatch and resumes processes itself; kept as the
         single-step API for tests and schedule tracing.
         """
-        t, _prio, _seq, record = _heappop(self._next_heap())
+        item = _heappop(self._next_heap())
+        t = item[0]
         if t < self.now:
             raise SimulationError("time went backwards")
         self.now = t
         self.event_count += 1
-        self._dispatch(record)
+        self._dispatch(item[3])
 
     def _dispatch(self, record: Any) -> None:
         """Process one popped record, by its class: the reference form of
@@ -743,7 +759,8 @@ class Simulator:
     def _hand_over(self, waiter: "Sleeper | LockGrant") -> None:
         """A lock grant's pop, or the first pop of a sleeper's two: push
         the waiting process's resume record at the current time.  A grant
-        whose waiter was interrupted passes the lock on instead."""
+        whose waiter was interrupted passes the lock on instead; any
+        other grant rides on the record as a fifth field."""
         if waiter.__class__ is Sleeper:
             if waiter.fired:
                 return
@@ -753,12 +770,18 @@ class Simulator:
             raise SimulationError(
                 f"a {type(waiter).__name__} fired before a process waited "
                 f"on it; yield it right after it is made")
-        if rec.proc._target is not rec and waiter.__class__ is LockGrant:
-            waiter.lock.release()
-            return
-        seq = self._seq
-        self._seq = seq + 1
-        _heappush(self._heap, (self.now, NORMAL, seq, rec))
+        if waiter.__class__ is LockGrant:
+            if rec.proc._target is not rec:
+                waiter.lock.release()
+                return
+            # The grant rides on its record, so that an interrupt
+            # delivered before the record pops finds the lock to pass on
+            # (Process._interrupted).
+            entry = (self.now, NORMAL, self._seq, rec, waiter)
+        else:
+            entry = (self.now, NORMAL, self._seq, rec)
+        self._seq += 1
+        _heappush(self._heap, entry)
 
     def run(self, until: "float | Event | None" = None,
             max_events: Optional[int] = None) -> Any:

@@ -79,6 +79,11 @@ class SpinLock:
     (spinning), which in this one-thread-per-core model is implicit: the
     process simply cannot do anything else.
 
+    An interrupt that reaches a waiter before its grant resumes it
+    withdraws the acquire: the waiter is thrown
+    :class:`~repro.sim.core.Interrupt` without the lock, and the lock
+    passes to the next waiter or is freed.
+
     Statistics: ``total_wait_us``, ``acquisitions``, ``max_queue``.
     """
 

@@ -530,9 +530,38 @@ def build_lock_waiter_interrupted(sim, mod):
     sim.schedule_call(2.0, p.interrupt)
 
 
+def build_lock_waiter_interrupted_after_grant(sim, mod):
+    # the waiter's grant has popped when an interrupt due at that instant
+    # lands, before its resume record: the interrupt passes the lock on
+    lock = SpinLock(sim, acquire_cost=0.5)
+    procs = []
+
+    def holder(sim):
+        yield lock.acquire()
+        yield 5.0
+        lock.release()
+        sim.schedule_call(0.5, procs[0].interrupt)
+
+    def waiter(sim):
+        try:
+            yield lock.acquire()
+        except live_kernel.Interrupt:
+            yield 10.0
+
+    def next_waiter(sim):
+        yield lock.acquire()
+        yield 1.0
+        lock.release()
+
+    sim.process(holder(sim))
+    procs.append(sim.process(waiter(sim)))
+    sim.process(next_waiter(sim))
+
+
 #: inputs for the run/step tie only: the seed kernel has no wire
 #: delivery priority, no Sleeper and no LockGrant
-RUN_STEP_ONLY = [build_cotemporal_hand_overs, build_lock_waiter_interrupted]
+RUN_STEP_ONLY = [build_cotemporal_hand_overs, build_lock_waiter_interrupted,
+                 build_lock_waiter_interrupted_after_grant]
 
 
 @pytest.mark.parametrize("build", WORKLOADS + RUN_STEP_ONLY,

@@ -5,11 +5,13 @@ can smoke the flow-control paths separately from the tier-1 suite.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (FaultPlan, FlowControlPolicy, LAPTOP, ParcelShedError,
                    RetryPolicy, make_runtime)
 from repro.faults import CreditStarve, PoolSqueeze, SlowReceiver
 from repro.flow import OVERFLOW_SHED, SEND_OK, SEND_WOULD_BLOCK
+from repro.parcelport.base import Parcelport
 from repro.parcelport.reliability import ReliabilityLayer
 from repro.sim.core import Simulator
 from repro.sim.rng import RngPool
@@ -170,6 +172,82 @@ def test_take_expired_recvs_honors_policy_drain_limit():
 def test_drain_limit_validation():
     with pytest.raises(ValueError):
         RetryPolicy(drain_limit=0)
+
+
+#: one operation on a pair of layers: (name, argument)
+_REL_OPS = st.one_of(
+    st.tuples(st.just("track"), st.integers(0, 2)),
+    st.tuples(st.sampled_from(["ack", "expedite", "touch", "unwatch"]),
+              st.integers(0, 63)),
+    st.tuples(st.just("watch"), st.just(0)),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 1.0, 5.0, 20.0,
+                                                   80.0])),
+    # bits 0-7: reschedule (1) or drop (0) each expired send; bit 8:
+    # scan at a poll start half a microsecond back
+    st.tuples(st.just("poll"), st.integers(0, 511)),
+)
+
+
+def _rel_state(rel):
+    return (list(rel._heap), list(rel._recv_heap),
+            {seq: (e.deadline, e.attempts, e.conn is None)
+             for seq, e in rel._table.items()},
+            {cid: conn.last_active for cid, conn in rel._watched.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_REL_OPS, max_size=80))
+def test_deadline_due_agrees_with_the_scans_it_gates(ops):
+    """Two layers take the same operations; one runs both expiry scans at
+    every poll, the other only when ``deadline_due`` says a deadline is
+    due.  They must return the same entries and keep the same state."""
+    policy = RetryPolicy(timeout_us=10.0, backoff=2.0, jitter=0.5,
+                         recv_expiry_factor=2.0, drain_limit=2)
+    always, gated = layers = [_rel(policy=policy)[1] for _ in range(2)]
+    seqs = []
+    conns = ([], [])
+    for op, arg in ops:
+        if op == "advance":
+            for rel in layers:
+                rel.sim.now += arg
+        elif op == "track":
+            seq, = {rel.track(_FakeMsg(dest=arg), _FakeConn()).seq
+                    for rel in layers}
+            seqs.append(seq)
+        elif op == "watch":
+            for rel, mine in zip(layers, conns):
+                conn = _FakeConn()
+                conn.cid = len(mine)
+                mine.append(conn)
+                rel.watch_recv(conn)
+        elif op in ("ack", "expedite"):
+            if seqs:
+                for rel in layers:
+                    getattr(rel, "on_ack" if op == "ack" else "expedite")(
+                        seqs[arg % len(seqs)])
+        elif op in ("touch", "unwatch"):
+            if conns[0]:
+                for rel, mine in zip(layers, conns):
+                    getattr(rel, f"{op}_recv")(mine[arg % len(mine)])
+        else:
+            now = always.sim.now - (0.5 if arg & 256 else 0.0)
+            taken = []
+            for rel in layers:
+                if rel is gated and not rel.deadline_due(now):
+                    taken.append(([], []))
+                    continue
+                sends = rel.take_expired(now)
+                for i, entry in enumerate(sends):
+                    if arg >> i & 1:
+                        entry.attempts += 1
+                        rel.reschedule(entry)
+                    else:
+                        rel.drop(entry)
+                recvs = rel.take_expired_recvs(now)
+                taken.append(([(e.seq, e.attempts) for e in sends],
+                              [conn.cid for conn in recvs]))
+            assert taken[0] == taken[1]
+        assert _rel_state(always) == _rel_state(gated)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +460,71 @@ def test_flow_enabled_unloaded_run_is_byte_identical(config):
     lbase = run_latency(config, lp, seed=5)
     lflow = run_latency(config, lp, seed=5, flow_policy=FlowControlPolicy())
     assert lflow.total_time_us == lbase.total_time_us
+
+
+#: (fault spec, parcel bytes, retry policy, backlog bound) under a
+#: one-credit window.  drop + corrupt + flap with one retry gives
+#: retransmits, failed sends whose drops release credits, and reaped
+#: receive chains; the roomy backlog never registers an accept-waiter,
+#: so the pump runs only when its credit gate opens.  squeeze + slow +
+#: starve with a one-message backlog gives credit stalls, backlog drains
+#: and accept-waiters (``drains_deferred``).
+GATE_SCENARIOS = {
+    "faults": ("drop=0.1,corrupt=0.02,flap=500:900", 20000,
+               RetryPolicy(max_retries=1, timeout_us=200.0), 64),
+    "overload": ("squeeze=0:2000@0*0,slow=0:3000@1*2,starve=0:1000@0", 8,
+                 None, 1),
+}
+
+#: counters each scenario must reach, so that the gates have work to skip
+GATE_REACHES = {
+    "faults": ("retransmits", "sends_failed", "recv_chains_expired",
+               "credit_stalls", "backlog_drains"),
+    "overload": ("credit_stalls", "backlog_drains", "drains_deferred"),
+}
+
+
+def _run_gate_scenario(config, scenario):
+    spec, size, retry, backlog = GATE_SCENARIOS[scenario]
+    rt = make_runtime(config, platform=LAPTOP, n_localities=2, seed=11,
+                      fault_plan=FaultPlan.parse(spec),
+                      flow_policy=FlowControlPolicy(credit_window=1,
+                                                    max_backlog=backlog,
+                                                    max_queued_parcels=16),
+                      retry_policy=retry)
+    got, failed = [], []
+    rt.on_parcel_failure = lambda parcel, exc: failed.append(parcel.args[0])
+    rt.register_action("sink", lambda worker, idx: got.append(idx))
+    loc0 = rt.locality(0)
+    rt.boot()
+    for i in range(40):
+        def one(worker, i=i):
+            yield from loc0.apply(worker, 1, "sink", (i,), arg_sizes=[size])
+        loc0.spawn(one)
+    rt.run_until(20000.0, max_events=2_000_000)
+    return (got, failed, rt.sim.now, rt.sim.event_count,
+            rt.fault_summary(), rt.flow_summary())
+
+
+@pytest.mark.parametrize("scenario", sorted(GATE_SCENARIOS))
+@pytest.mark.parametrize("config", ["lci_sr_sy_mt", "mpi_orig"])
+def test_poll_gates_leave_every_schedule_unchanged(config, scenario,
+                                                   monkeypatch):
+    """Background work skips the expiry scans while no deadline is due
+    and the backlog pump while no credit has returned.  Forcing both
+    gates open (the scans and pump run whenever there is anything to
+    scan) must not move one event."""
+    gated = _run_gate_scenario(config, scenario)
+    summary = gated[4]
+    assert all(summary.get(k) for k in GATE_REACHES[scenario]), summary
+    monkeypatch.setattr(ReliabilityLayer, "deadline_due",
+                        lambda self, now: True)
+    # an epoch that never equals the layer's: the pump runs whenever a
+    # backlog or an accept-waiter exists
+    monkeypatch.setattr(Parcelport, "_futile_epoch",
+                        property(lambda self: None,
+                                 lambda self, epoch: None), raising=False)
+    assert _run_gate_scenario(config, scenario) == gated
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,81 @@ def test_lock_waiter_interrupted_while_queued_is_never_resumed():
     assert sim.event_count == 16
 
 
+def test_lock_waiter_interrupted_between_grant_and_resume_passes_it_on():
+    """The grant has popped and pushed the waiter's resume record, and an
+    interrupt due at that instant lands before the record pops: the
+    waiter is thrown ``Interrupt`` without the lock, which passes to the
+    next waiter instead of staying held by no one."""
+    sim = Simulator()
+    lock = SpinLock(sim, acquire_cost=0.5)
+    log = []
+    granted = []
+    procs = {}
+
+    def holder(sim):
+        yield lock.acquire()
+        yield 5.0
+        lock.release()                   # the waiter's grant pops at 6.0
+        sim.schedule_call(0.5, lambda: procs["waiter"].interrupt())
+
+    def waiter(sim):
+        try:
+            yield lock.acquire()
+            log.append(("granted", sim.now))
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+
+    def next_waiter(sim):
+        yield lock.acquire()             # queued behind the interrupted one
+        granted.append(sim.now)
+        yield 1.0
+        lock.release()
+
+    sim.process(holder(sim))
+    procs["waiter"] = sim.process(waiter(sim))
+    sim.process(next_waiter(sim))
+    sim.run()
+    assert log == [("interrupted", 6.0)]
+    # the interrupt at 6.0 hands the lock on; the next grant pops at 6.5
+    assert granted == [6.5]
+    assert not lock.locked and lock.queue_len == 0
+    assert lock.acquisitions == 3
+    # 3 boots, holder's grant + resume and its 5.0 delay, the waiter's
+    # grant and its retired resume record, the call, the interrupt, the
+    # next waiter's grant + resume and its 1.0 delay, 3 completions
+    assert sim.event_count == 16
+
+
+def test_interrupt_after_the_grant_resumed_keeps_the_lock_held():
+    """Once the grant has resumed the waiter, the lock is the waiter's:
+    an interrupt at that instant, while it waits on a zero delay, is
+    thrown into it with the lock still held."""
+    sim = Simulator()
+    lock = SpinLock(sim, acquire_cost=0.5)
+    log = []
+    procs = []
+
+    def holder(sim):
+        try:
+            yield lock.acquire()
+            sim.schedule_call(0.0, procs[0].interrupt)
+            yield 0.0
+        except Interrupt:
+            log.append(("interrupted", sim.now, lock.locked))
+        lock.release()
+
+    def next_waiter(sim):
+        yield lock.acquire()
+        log.append(("granted", sim.now))
+        lock.release()
+
+    procs.append(sim.process(holder(sim)))
+    sim.process(next_waiter(sim))
+    sim.run()
+    assert log == [("interrupted", 0.5, True), ("granted", 1.0)]
+    assert not lock.locked and lock.acquisitions == 2
+
+
 def test_lock_grant_misuse():
     sim = Simulator()
     SpinLock(sim).acquire()              # nobody yields the grant

@@ -14,8 +14,8 @@ from repro.bench import ablation_mpi_pp
 def test_ablation_original_vs_improved(benchmark):
     result = run_once(benchmark, ablation_mpi_pp, quick=True)
     print("\n" + result.render())
-    app_ratio = result.meta["improved_over_original"]
-    rate_ratio = result.meta["rate_improved_over_original"]
+    ratios = result.meta["counters"]["improved_over_original"]
+    app_ratio, rate_ratio = ratios["app"], ratios["rate"]
     print(f"improved/original: app {app_ratio:.3f}x, "
           f"8B message rate {rate_ratio:.3f}x (paper: ~1.2x at app level)")
     # microbenchmark: the improvements must clearly win (tag-release

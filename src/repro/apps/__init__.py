@@ -6,7 +6,7 @@ them need numpy, which a message-rate or latency run never loads.
 
 import importlib
 
-__all__ = ["octotiger", "graphs", "serve", "fft"]
+__all__ = ["octotiger", "serve", "fft"]
 
 
 def __getattr__(name):

@@ -8,7 +8,6 @@ Examples::
     repro-fig all             # everything (long)
     repro-fig fig1 --jobs 4   # fan sweep points across 4 worker processes
     repro-fig fig1 --cache .repro-cache   # reuse cached sweep points
-    repro-fig fig1 --profile  # cProfile the run, top functions to stderr
 """
 
 from __future__ import annotations
@@ -81,39 +80,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--validate", action="store_true",
                         help="run the figure's EXPERIMENTS.md shape checks "
                              "and set a nonzero exit code on failure")
-    parser.add_argument("--profile", nargs="?", const=25, type=int,
-                        default=None, metavar="N",
-                        help="profile the run with cProfile and print the "
-                             "top N functions by cumulative time to stderr "
-                             "(default N=25; see docs/PERFORMANCE.md)")
-    parser.add_argument("--profile-out", metavar="FILE", default=None,
-                        help="also dump the raw cProfile stats to FILE "
-                             "(load with pstats or snakeviz); implies "
-                             "--profile")
     args = parser.parse_args(argv)
 
-    if args.profile is not None or args.profile_out is not None:
-        import cProfile
-        import pstats
-        prof = cProfile.Profile()
-        prof.enable()
-        try:
-            return _dispatch(args, parser)
-        finally:
-            prof.disable()
-            stats = pstats.Stats(prof, stream=sys.stderr)
-            stats.sort_stats("cumulative")
-            stats.print_stats(args.profile if args.profile is not None
-                              else 25)
-            if args.profile_out is not None:
-                prof.dump_stats(args.profile_out)
-                print(f"[profile stats written to {args.profile_out}]",
-                      file=sys.stderr)
-    return _dispatch(args, parser)
-
-
-def _dispatch(args: argparse.Namespace,
-              parser: argparse.ArgumentParser) -> int:
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
     from .parallel import policy, set_policy

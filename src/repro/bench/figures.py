@@ -401,9 +401,10 @@ def ablation_mpi_pp(quick: bool = True, repeats: Optional[int] = None
     return FigureResult("ablation_mpi_pp",
                         "Original vs improved MPI parcelport",
                         series, x_name="nodes", y_name="steps/s",
-                        meta={"improved_over_original": ratio_app,
-                              "rate_improved_over_original": ratio_rate,
-                              "rates_kps": rate})
+                        meta={"counters": {
+                            "improved_over_original": {"app": ratio_app,
+                                                       "rate": ratio_rate},
+                            "rates_kps": rate}})
 
 
 def ablation_aggregation(quick: bool = True, repeats: Optional[int] = None

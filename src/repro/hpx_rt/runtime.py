@@ -132,7 +132,6 @@ class HpxRuntime:
                  immediate: bool = False,
                  cost: Optional[CostModel] = None,
                  seed: int = 0xC0FFEE,
-                 fabric_factory: Optional[Callable] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  reliable: Optional[bool] = None,
@@ -149,12 +148,7 @@ class HpxRuntime:
         self.cost = cost if cost is not None else platform.cost
         self.sim = Simulator()
         self.rng = RngPool(seed)
-        # fabric_factory(sim, params) lets experiments swap the default
-        # non-blocking crossbar for e.g. an oversubscribed FatTreeFabric.
-        if fabric_factory is None:
-            self.fabric = Fabric(self.sim, platform.network)
-        else:
-            self.fabric = fabric_factory(self.sim, platform.network)
+        self.fabric = Fabric(self.sim, platform.network)
         # Fault injection: a zero plan (or None) means *no* injector at
         # all — the fault-free fast paths stay byte-identical to a build
         # without the faults layer.

@@ -4,7 +4,6 @@ from .fabric import Fabric
 from .message import NetMsg
 from .nic import Nic
 from .params import FDR_IB, HDR_IB, TESTNET, NetworkParams
-from .topology import FatTreeFabric
 
-__all__ = ["Fabric", "FatTreeFabric", "NetMsg", "Nic", "NetworkParams",
+__all__ = ["Fabric", "NetMsg", "Nic", "NetworkParams",
            "HDR_IB", "FDR_IB", "TESTNET"]

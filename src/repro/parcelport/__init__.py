@@ -11,22 +11,20 @@ Typical use::
                     immediate=cfg.immediate)
 """
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..lci_sim.params import DEFAULT_LCI_PARAMS, LciParams
 from ..mpi_sim.params import DEFAULT_MPI_PARAMS, MpiParams
-from ..tcp_sim.params import DEFAULT_TCP_PARAMS, TcpParams
 from .base import Connection, DetachedWorker, Parcelport
 from .config import ALL_LCI_VARIANTS, PPConfig, TABLE1
 from .header import HEADER_BASE_BYTES, HeaderPlan, plan_header
 from .lci_pp import LciParcelport
 from .mpi_pp import MpiParcelport
-from .tcp_pp import TcpParcelport
 from .tagging import TagAllocator, TagProvider, tag_of
 
 __all__ = [
     "Parcelport", "Connection", "DetachedWorker",
-    "MpiParcelport", "LciParcelport", "TcpParcelport",
+    "MpiParcelport", "LciParcelport",
     "PPConfig", "TABLE1", "ALL_LCI_VARIANTS",
     "HeaderPlan", "plan_header", "HEADER_BASE_BYTES",
     "TagAllocator", "TagProvider", "tag_of",
@@ -36,20 +34,16 @@ __all__ = [
 
 def create_parcelport(locality, config: PPConfig,
                       mpi_params: MpiParams = DEFAULT_MPI_PARAMS,
-                      lci_params: LciParams = DEFAULT_LCI_PARAMS,
-                      tcp_params: TcpParams = DEFAULT_TCP_PARAMS):
+                      lci_params: LciParams = DEFAULT_LCI_PARAMS):
     """Instantiate the parcelport described by ``config`` on ``locality``."""
     if config.backend == "mpi":
         return MpiParcelport(locality, config, mpi_params=mpi_params)
-    if config.backend == "tcp":
-        return TcpParcelport(locality, config, tcp_params=tcp_params)
     return LciParcelport(locality, config, lci_params=lci_params)
 
 
 def make_parcelport_factory(config: "PPConfig | str",
                             mpi_params: MpiParams = DEFAULT_MPI_PARAMS,
                             lci_params: LciParams = DEFAULT_LCI_PARAMS,
-                            tcp_params: TcpParams = DEFAULT_TCP_PARAMS,
                             ) -> Callable:
     """A per-locality factory suitable for :class:`HpxRuntime`."""
     if isinstance(config, str):
@@ -58,8 +52,7 @@ def make_parcelport_factory(config: "PPConfig | str",
     def factory(locality):
         return create_parcelport(locality, config,
                                  mpi_params=mpi_params,
-                                 lci_params=lci_params,
-                                 tcp_params=tcp_params)
+                                 lci_params=lci_params)
 
     factory.config = config
     return factory

@@ -96,11 +96,6 @@ class Parcelport(abc.ABC):
     #: fewer worker thread.
     reserves_progress_core: bool = False
 
-    #: True if this parcelport implements the ack/retransmit protocol
-    #: (``_send_ack`` and the abort hooks) — required to run under an
-    #: active fault plan.
-    supports_reliability: bool = False
-
     def __init__(self, locality: "Locality"):
         self.locality = locality
         self.sim = locality.sim
@@ -117,7 +112,7 @@ class Parcelport(abc.ABC):
         # None layer keeps every hot path byte-identical to the seed.
         self.reliability: Optional[ReliabilityLayer] = None
         runtime = locality.runtime
-        if self.supports_reliability and getattr(runtime, "reliable", False):
+        if getattr(runtime, "reliable", False):
             self.reliability = ReliabilityLayer(
                 self.sim, runtime.retry_policy,
                 runtime.rng.stream(f"retry{locality.lid}"),

@@ -23,10 +23,8 @@ from typing import List
 __all__ = ["PPConfig", "ALL_LCI_VARIANTS", "TABLE1"]
 
 
-#: The paper's Table 1 (abbreviation -> meaning), reproduced verbatim
-#: (plus the legacy TCP parcelport the paper's introduction mentions).
+#: The paper's Table 1 (abbreviation -> meaning), reproduced verbatim.
 TABLE1 = {
-    "tcp": "Use the TCP parcelport (legacy)",
     "mpi": "Use the MPI parcelport",
     "lci": "Use the LCI parcelport",
     "sr": "Use the sendrecv protocol",
@@ -51,7 +49,7 @@ class PPConfig:
     mpi_variant: str = "improved"   # "improved" | "original"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("mpi", "lci", "tcp"):
+        if self.backend not in ("mpi", "lci"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.protocol not in ("psr", "sr"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
@@ -64,13 +62,13 @@ class PPConfig:
         # Normalize fields that do not apply to this backend to their
         # canonical defaults, so two configs that behave identically
         # compare (and hash, and round-trip through parse) identically —
-        # e.g. PPConfig(backend="tcp", protocol="sr") used to be a
+        # e.g. PPConfig(backend="mpi", protocol="sr") used to be a
         # distinct object whose label parsed back to a different config.
-        if self.backend != "lci":
+        if self.backend == "mpi":
             object.__setattr__(self, "protocol", "psr")
             object.__setattr__(self, "completion", "cq")
             object.__setattr__(self, "progress", "pin")
-        if self.backend != "mpi":
+        else:
             object.__setattr__(self, "mpi_variant", "improved")
 
     # ------------------------------------------------------------------
@@ -81,8 +79,8 @@ class PPConfig:
         if not tokens:
             raise ValueError("empty parcelport spec")
         backend = tokens.pop(0)
-        if backend not in ("mpi", "lci", "tcp"):
-            raise ValueError(f"spec must start with mpi/lci/tcp: {spec!r}")
+        if backend not in ("mpi", "lci"):
+            raise ValueError(f"spec must start with mpi/lci: {spec!r}")
         kw = dict(backend=backend)
         for tok in tokens:
             if tok in ("psr", "sr"):
@@ -99,22 +97,21 @@ class PPConfig:
                 kw["mpi_variant"] = "original"
             else:
                 raise ValueError(f"unknown token {tok!r} in spec {spec!r}")
-        cfg = cls(**kw)
-        if backend in ("mpi", "tcp"):
+        if backend == "mpi":
             for field_ in ("protocol", "completion", "progress"):
                 if field_ in kw:
                     raise ValueError(
                         f"{field_} token is LCI-only (spec {spec!r})")
-        if backend == "tcp" and "mpi_variant" in kw:
+        elif "mpi_variant" in kw:
             raise ValueError(f"orig token is MPI-only (spec {spec!r})")
-        return cfg
+        return cls(**kw)
 
     @property
     def label(self) -> str:
         """The paper-style abbreviation for this configuration."""
-        if self.backend in ("mpi", "tcp"):
-            parts = [self.backend]
-            if self.backend == "mpi" and self.mpi_variant == "original":
+        if self.backend == "mpi":
+            parts = ["mpi"]
+            if self.mpi_variant == "original":
                 parts.append("orig")
         else:
             parts = ["lci", self.protocol, self.completion,
@@ -129,7 +126,7 @@ class PPConfig:
 
         ``PPConfig.parse(cfg.canonical_name) == cfg`` for every config,
         and ``PPConfig.parse(spec).canonical_name == spec`` for every
-        canonical Table-1 spec (tcp included).
+        canonical Table-1 spec.
         """
         return self.label
 

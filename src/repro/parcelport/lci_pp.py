@@ -58,8 +58,6 @@ SYNC_SCAN_LIMIT = 8
 class LciParcelport(Parcelport):
     """HPX's LCI parcelport on the simulated LCI library."""
 
-    supports_reliability = True
-
     def __init__(self, locality: "Locality", config: Optional[PPConfig] = None,
                  lci_params: LciParams = DEFAULT_LCI_PARAMS):
         super().__init__(locality)

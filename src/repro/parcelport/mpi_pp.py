@@ -60,7 +60,6 @@ class MpiParcelport(Parcelport):
     """
 
     reserves_progress_core = False  # no dedicated progress thread in MPI pp
-    supports_reliability = True
 
     def __init__(self, locality: "Locality", config: Optional[PPConfig] = None,
                  mpi_params: MpiParams = DEFAULT_MPI_PARAMS,

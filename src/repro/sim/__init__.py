@@ -3,8 +3,7 @@
 Public surface:
 
 * :class:`~repro.sim.core.Simulator`, :class:`~repro.sim.core.Event`,
-  :class:`~repro.sim.core.Process`, :class:`~repro.sim.core.Timeout`,
-  :class:`~repro.sim.core.AllOf`, :class:`~repro.sim.core.AnyOf`
+  :class:`~repro.sim.core.Process`, :class:`~repro.sim.core.Timeout`
 * :class:`~repro.sim.primitives.SpinLock`,
   :class:`~repro.sim.primitives.TryLock`,
   :class:`~repro.sim.primitives.AtomicCell`,
@@ -14,8 +13,7 @@ Public surface:
 * :class:`~repro.sim.stats.StatSet`
 """
 
-from .core import (AllOf, AnyOf, Event, Interrupt, Process, SimulationError,
-                   Simulator, Timeout)
+from .core import Event, Process, SimulationError, Simulator, Timeout
 from .primitives import (AtomicCell, ContentionMeter, SerialResource,
                          SpinLock, TryLock)
 from .queues import FifoChannel, MPSCQueue
@@ -23,8 +21,7 @@ from .rng import RngPool
 from .stats import StatSet, TimeSeries, summarize
 
 __all__ = [
-    "Simulator", "Event", "Process", "Timeout", "AllOf", "AnyOf",
-    "Interrupt", "SimulationError",
+    "Simulator", "Event", "Process", "Timeout", "SimulationError",
     "SpinLock", "TryLock", "AtomicCell", "SerialResource", "ContentionMeter",
     "FifoChannel", "MPSCQueue",
     "RngPool", "StatSet", "TimeSeries", "summarize",

@@ -39,7 +39,7 @@ Example
 from __future__ import annotations
 
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, Generator, Iterable, Optional, Tuple
+from typing import Any, Callable, Generator, Optional, Tuple
 
 __all__ = [
     "Event",
@@ -47,9 +47,6 @@ __all__ = [
     "Sleeper",
     "LockGrant",
     "Process",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
     "Simulator",
     "SimulationError",
 ]
@@ -75,26 +72,18 @@ class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (double-trigger, run without events)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a :class:`Process` by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class _Wake:
-    """Bare heap record for internal wake-ups (interrupts, resumes off
-    processed events, :meth:`Simulator.succeed_later`).
+    """Bare heap record for internal wake-ups (resumes off processed
+    events, :meth:`Simulator.succeed_later`).
 
     Quacks just enough like a processed-event carrier for the run loop
-    (``callbacks``) and for :meth:`Process._resume` (``_ok``/``_value``);
-    never escapes the kernel.  Compared to a full :class:`Event` it skips
+    (``callbacks``) and for :meth:`Process._resume` (``_value``); never
+    escapes the kernel.  Compared to a full :class:`Event` it skips
     ``sim``/``triggered`` bookkeeping and the ``__init__`` call — call
-    sites assign the three slots directly.
+    sites assign the two slots directly.
     """
 
-    __slots__ = ("callbacks", "_value", "_ok")
+    __slots__ = ("callbacks", "_value")
 
 
 class _Resume:
@@ -103,16 +92,13 @@ class _Resume:
     :class:`LockGrant`.
 
     The run loop recognises it by class and sends into ``proc``'s
-    generator itself.  It resumes ``proc`` only while it is the
-    process's wait target: an interrupt retires it (the process makes a
-    new one), so a retired record still in a heap pops as a no-op.
+    generator itself.  A process waits on at most one thing at a time,
+    so its record is in a heap at most once.
     """
 
     __slots__ = ("proc",)
 
-    #: what :meth:`Process._resume` reads off a trigger: always a
-    #: successful wake-up with no value
-    _ok = True
+    #: what :meth:`Process._resume` sends: a wake-up carries no value
     _value = None
 
     def __init__(self, proc: "Process"):
@@ -122,19 +108,17 @@ class _Resume:
 class Event:
     """A one-shot occurrence on the simulator timeline.
 
-    An event starts *pending*, becomes *triggered* when :meth:`succeed` or
-    :meth:`fail` is called (or when the simulator schedules it), and
-    *processed* once its callbacks ran.  Processes wait on events by
-    yielding them.
+    An event starts *pending*, becomes *triggered* when :meth:`succeed`
+    is called (or when the simulator schedules it), and *processed* once
+    its callbacks ran.  Processes wait on events by yielding them.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "triggered")
+    __slots__ = ("sim", "callbacks", "_value", "triggered")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.callbacks: Optional[list] = []
         self._value: Any = None
-        self._ok: bool = True
         self.triggered = False
 
     # -- introspection ---------------------------------------------------
@@ -145,13 +129,8 @@ class Event:
 
     @property
     def value(self) -> Any:
-        """The payload passed to :meth:`succeed` (or the failure exception)."""
+        """The payload passed to :meth:`succeed`."""
         return self._value
-
-    @property
-    def ok(self) -> bool:
-        """False if the event failed."""
-        return self._ok
 
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
@@ -160,19 +139,6 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self.triggered = True
         self._value = value
-        sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        _heappush(sim._heap, (sim.now, priority, seq, self))
-        return self
-
-    def fail(self, exc: BaseException, priority: int = NORMAL) -> "Event":
-        """Trigger the event as failed; waiting processes receive ``exc``."""
-        if self.triggered:
-            raise SimulationError(f"{self!r} already triggered")
-        self.triggered = True
-        self._ok = False
-        self._value = exc
         sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1
@@ -205,7 +171,6 @@ class Timeout(Event):
         self.sim = sim
         self.callbacks = []
         self._value = value
-        self._ok = True
         self.triggered = True
         self.delay = delay
         seq = sim._seq
@@ -231,7 +196,6 @@ class _Call(Event):
         self.fn = fn
         self.callbacks = [self._invoke]
         self._value = None
-        self._ok = True
         self.triggered = True
         seq = sim._seq
         sim._seq = seq + 1
@@ -261,7 +225,6 @@ class _Call1(Event):
         self.arg = arg
         self.callbacks = [self._invoke]
         self._value = None
-        self._ok = True
         self.triggered = True
         seq = sim._seq
         sim._seq = seq + 1
@@ -280,7 +243,8 @@ def _succeed_stashed(wake: "_Wake") -> None:
 
 
 class Sleeper:
-    """An idle wait: ``AnyOf([wake, Timeout(delay)])`` in one object.
+    """An idle wait: the seed kernel's ``AnyOf([wake, Timeout(delay)])``
+    in one object.
 
     Yielded by the sleeping process right after it is made.  It pushes
     the records the three-event form pushed, with the same seqs: the
@@ -327,16 +291,12 @@ class LockGrant:
     acquire, or after the release that hands the lock over; when it pops
     it hands over to the waiting process at that time.  These are the
     records, with the seqs, of the ``Event`` a one-CAS-later
-    ``schedule_call`` triggers.  A grant whose waiter was interrupted
-    passes the lock on with ``lock.release()``: at its pop if the
-    interrupt came first, else when the interrupt lands before the
-    waiter's resume record pops (see :meth:`Process.interrupt`).
+    ``schedule_call`` triggers.
     """
 
-    __slots__ = ("lock", "_rec")
+    __slots__ = ("_rec",)
 
-    def __init__(self, lock: Any):
-        self.lock = lock
+    def __init__(self):
         #: the waiting process's resume record, set when it is yielded
         self._rec: Optional[_Resume] = None
 
@@ -350,120 +310,42 @@ class Process(Event):
     with the generator's return value, so processes can wait on each other.
     A bare delay (a float), a :class:`Sleeper` and a :class:`LockGrant`
     wake it through its resume record instead, which the run loop
-    resumes itself.
+    resumes itself.  An exception raised in the generator propagates out
+    of :meth:`Simulator.run`.
     """
 
-    __slots__ = ("gen", "name", "_target", "_bound_resume", "_rec")
+    __slots__ = ("gen", "name", "_bound_resume", "_rec")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         self.sim = sim
         self.callbacks = []
         self._value = None
-        self._ok = True
         self.triggered = False
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         # One bound method for the whole lifetime instead of a fresh
         # ``self._resume`` allocation on every wait on an Event.
         self._bound_resume = self._resume
-        # The reusable resume record: re-pushed by every bare-delay wait
-        # and handed over by every sleeper and grant.  It is the boot
-        # record too, and the process's initial wait target, so stray
-        # callbacks can never start it twice.
+        # The reusable resume record: the boot record, re-pushed by every
+        # bare-delay wait and handed over by every sleeper and grant.
         rec = self._rec = _Resume(self)
-        self._target: Any = rec
         seq = sim._seq
         sim._seq = seq + 1
         _heappush(sim._heap, (sim.now, URGENT, seq, rec))
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The interrupt is delivered when its wake-up is processed (an URGENT
-        event at the current time).  Detaching from whatever the process is
-        waiting on happens at *delivery* time, which makes the operation
-        race-free:
-
-        * interrupting a process whose wait target has already triggered
-          (but not yet processed) delivers the target's value first, then
-          the interrupt at the next suspension point — the completion is
-          not lost and the stale target can never resume the process a
-          second time;
-        * interrupting a process that has not started yet lets it start
-          normally and receive the interrupt at its first ``yield`` (where
-          it is catchable);
-        * interrupting a process that waits on a lock grant withdraws the
-          acquire: the process never owns the lock, which passes to the
-          next waiter (or is freed).  That holds while the grant is
-          queued, and also once it has popped but its resume record has
-          not: the interrupt, not the grant, is what the process gets.
-          Once the grant has resumed it, the lock is the process's to
-          release.
-        """
-        if self.triggered:
-            return
-        sim = self.sim
-        wake = _Wake()
-        wake._ok = False
-        wake._value = Interrupt(cause)
-        wake.callbacks = [self._interrupted]
-        seq = sim._seq
-        sim._seq = seq + 1
-        _heappush(sim._heap, (sim.now, URGENT, seq, wake))
-
     # -- internal ----------------------------------------------------------
-    def _interrupted(self, wake: _Wake) -> None:
-        """Deliver a pending interrupt: detach from the current wait target
-        (if it can still fire) and throw into the generator."""
-        if self.triggered:
-            return
-        target = self._target
-        if target is self._rec:
-            # The resume record may still sit in a heap (or be handed
-            # over later by a sleeper or grant): retire it, so that pop
-            # fails the target check instead of resuming the next wait.
-            self._rec = _Resume(self)
-            # A lock grant that already handed over to the record (the
-            # only five-field records) was never taken up: pass it on.
-            for item in self.sim._heap:
-                if item[3] is target and len(item) == 5:
-                    item[4].lock.release()
-                    break
-        elif target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._bound_resume)
-            except ValueError:
-                pass
-        self._target = wake
-        self._resume(wake)
-
     def _resume(self, trigger: Any) -> None:
         """Resume off ``trigger``: an Event callback, a ``_Wake``, or the
         resume record on the reference path (:meth:`Simulator.step`)."""
-        # Only the currently registered target may resume the process; a
-        # detached or superseded event's late callback is ignored.  This
-        # closes the seed kernel's interrupt-vs-completion double-resume
-        # race (see tests/test_sim_core.py).
-        if self.triggered or trigger is not self._target:
-            return
-        self._target = None
         try:
-            if trigger._ok:
-                nxt = self.gen.send(trigger._value)
-            else:
-                nxt = self.gen.throw(trigger._value)
+            nxt = self.gen.send(trigger._value)
         except StopIteration as stop:
             self.succeed(stop.value, priority=URGENT)
-            return
-        except BaseException as exc:
-            if self.sim.strict:
-                raise
-            self.fail(exc, priority=URGENT)
             return
         self._wait(nxt)
 
     def _wait(self, nxt: Any) -> None:
-        """Make what the generator yielded the process's wait target.
+        """Wait on what the generator yielded.
 
         :meth:`_resume` calls this for every yield; the run loop handles
         a bare delay and a fresh sleeper or grant itself, the same way,
@@ -479,17 +361,16 @@ class Process(Event):
             if nxt < 0:
                 raise SimulationError(
                     f"process {self.name!r} yielded negative delay {nxt!r}")
-            rec = self._target = self._rec
             seq = sim._seq
             sim._seq = seq + 1
-            _heappush(sim._heap, (sim.now + nxt, NORMAL, seq, rec))
+            _heappush(sim._heap, (sim.now + nxt, NORMAL, seq, self._rec))
             return
         if cls is Sleeper or cls is LockGrant:
             # The sleeper or grant hands over to the resume record.
             if nxt._rec is not None:
                 raise SimulationError(
                     f"process {self.name!r} yielded a used {cls.__name__}")
-            nxt._rec = self._target = self._rec
+            nxt._rec = self._rec
             return
         if not isinstance(nxt, Event):
             raise SimulationError(
@@ -500,87 +381,13 @@ class Process(Event):
             # bare wake record — same heap tuple as the seed kernel's full
             # Event, minus the allocation and bookkeeping.
             wake = _Wake()
-            wake._ok = nxt._ok
             wake._value = nxt._value
             wake.callbacks = [self._bound_resume]
-            self._target = wake
             seq = sim._seq
             sim._seq = seq + 1
             _heappush(sim._heap, (sim.now, URGENT, seq, wake))
         else:
             cbs.append(self._bound_resume)
-            self._target = nxt
-
-
-class _Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf`."""
-
-    __slots__ = ("events", "_pending")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        # Inlined Event.__init__ (direct slot assignment, like Timeout).
-        self.sim = sim
-        self.callbacks = []
-        self._value = None
-        self._ok = True
-        self.triggered = False
-        self.events = evs = list(events)
-        for ev in evs:
-            if not isinstance(ev, Event):
-                # A Sleeper or a grant has no callbacks: the run loop
-                # hands it to the one process that yields it.
-                raise SimulationError(
-                    f"{type(self).__name__} over a {type(ev).__name__}: "
-                    f"conditions combine Events only")
-        self._pending = len(evs)
-        if not evs:
-            self.succeed({})
-            return
-        # Inlined add_callback with a single bound-method allocation.
-        check = self._check
-        for ev in evs:
-            cbs = ev.callbacks
-            if cbs is None:
-                check(ev)
-            else:
-                cbs.append(check)
-
-    def _check(self, ev: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers when *all* the given events have triggered.
-
-    Value is a dict mapping each event to its value.  Fails fast if any
-    child fails.
-    """
-
-    __slots__ = ()
-
-    def _check(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev._ok:
-            self.fail(ev._value)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed({e: e._value for e in self.events})
-
-
-class AnyOf(_Condition):
-    """Triggers when *any one* of the given events triggers (value = (event, value))."""
-
-    __slots__ = ()
-
-    def _check(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev._ok:
-            self.fail(ev._value)
-            return
-        self.succeed((ev, ev._value))
 
 
 class Simulator:
@@ -591,17 +398,10 @@ class Simulator:
     grant, or the first of a sleeper's two records, hands over to the
     waiting process by pushing its resume record at the current time;
     every other record runs its callbacks.
-
-    Parameters
-    ----------
-    strict:
-        If True (default), exceptions raised inside processes propagate out
-        of :meth:`run` immediately instead of failing the process event.
     """
 
-    def __init__(self, strict: bool = True):
+    def __init__(self):
         self.now: float = 0.0
-        self.strict = strict
         self._heap: list = []
         #: :class:`Sleeper` timers.  Most are stale by the time they pop
         #: (their sleeper was woken first), so they wait here instead of
@@ -627,18 +427,7 @@ class Simulator:
         """Register a generator as a process; returns its completion event."""
         return Process(self, gen, name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: Event, delay: float, priority: int) -> None:
-        seq = self._seq
-        self._seq = seq + 1
-        _heappush(self._heap, (self.now + delay, priority, seq, event))
-
     def schedule_call(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` after ``delay`` µs (no process needed)."""
         return _Call(self, delay, fn)
@@ -668,7 +457,6 @@ class Simulator:
         ev.arg = arg
         ev.callbacks = [ev._invoke]
         ev._value = None
-        ev._ok = True
         ev.triggered = True
         _heappush(self._heap, (self.now + delay, DELIVERY, key, ev))
         return ev
@@ -687,42 +475,11 @@ class Simulator:
         """
         event._value = value
         wake = _Wake()
-        wake._ok = True
         wake._value = event
         wake.callbacks = [_succeed_stashed]
         seq = self._seq
         self._seq = seq + 1
         _heappush(self._heap, (self.now + delay, NORMAL, seq, wake))
-
-    def schedule_calls(self,
-                       calls: Iterable[Tuple[float, Callable[[], None]]]
-                       ) -> list:
-        """Batched :meth:`schedule_call`: one ``(delay, fn)`` pair per entry.
-
-        Binds the heap and sequence counter once for the whole batch;
-        returns the scheduled events in input order.
-        """
-        heap = self._heap
-        now = self.now
-        seq = self._seq
-        out = []
-        append = out.append
-        for delay, fn in calls:
-            if delay < 0:
-                self._seq = seq
-                raise ValueError(f"negative delay {delay}")
-            ev = _Call.__new__(_Call)
-            ev.sim = self
-            ev.fn = fn
-            ev.callbacks = [ev._invoke]
-            ev._value = None
-            ev._ok = True
-            ev.triggered = True
-            _heappush(heap, (now + delay, NORMAL, seq, ev))
-            seq += 1
-            append(ev)
-        self._seq = seq
-        return out
 
     # -- execution -----------------------------------------------------------
     def step(self) -> None:
@@ -758,9 +515,7 @@ class Simulator:
 
     def _hand_over(self, waiter: "Sleeper | LockGrant") -> None:
         """A lock grant's pop, or the first pop of a sleeper's two: push
-        the waiting process's resume record at the current time.  A grant
-        whose waiter was interrupted passes the lock on instead; any
-        other grant rides on the record as a fifth field."""
+        the waiting process's resume record at the current time."""
         if waiter.__class__ is Sleeper:
             if waiter.fired:
                 return
@@ -770,18 +525,9 @@ class Simulator:
             raise SimulationError(
                 f"a {type(waiter).__name__} fired before a process waited "
                 f"on it; yield it right after it is made")
-        if waiter.__class__ is LockGrant:
-            if rec.proc._target is not rec:
-                waiter.lock.release()
-                return
-            # The grant rides on its record, so that an interrupt
-            # delivered before the record pops finds the lock to pass on
-            # (Process._interrupted).
-            entry = (self.now, NORMAL, self._seq, rec, waiter)
-        else:
-            entry = (self.now, NORMAL, self._seq, rec)
-        self._seq += 1
-        _heappush(self._heap, entry)
+        seq = self._seq
+        self._seq = seq + 1
+        _heappush(self._heap, (self.now, NORMAL, seq, rec))
 
     def run(self, until: "float | Event | None" = None,
             max_events: Optional[int] = None) -> Any:
@@ -841,8 +587,6 @@ class Simulator:
                     cls = rec.__class__
                     if cls is _Resume:
                         proc = rec.proc
-                        if proc._target is not rec:
-                            continue            # retired by an interrupt
                     elif cls is LockGrant or cls is Sleeper:
                         hand_over(rec)
                         continue
@@ -852,26 +596,19 @@ class Simulator:
                         for cb in callbacks:
                             cb(rec)
                         continue
-                    proc._target = None
                     try:
                         nxt = proc.gen.send(None)
                     except StopIteration as stop:
                         proc.succeed(stop.value, priority=URGENT)
                         continue
-                    except BaseException as exc:
-                        if self.strict:
-                            raise
-                        proc.fail(exc, priority=URGENT)
-                        continue
                     cls = nxt.__class__
                     if (cls is float or cls is int) and nxt >= 0:
-                        proc._target = rec
                         seq = self._seq
                         self._seq = seq + 1
                         push(heap, (now + nxt, NORMAL, seq, rec))
                     elif (cls is Sleeper or cls is LockGrant) \
                             and nxt._rec is None:
-                        nxt._rec = proc._target = rec
+                        nxt._rec = rec
                     else:
                         proc._wait(nxt)
             else:
@@ -905,8 +642,6 @@ class Simulator:
             if not stop_event.triggered:
                 raise SimulationError(
                     "simulation ran out of events before `until` triggered")
-            if not stop_event.ok:
-                raise stop_event.value
             return stop_event.value
         if deadline is not None and not heap and not idle:
             self.now = max(self.now, deadline)

@@ -79,11 +79,6 @@ class SpinLock:
     (spinning), which in this one-thread-per-core model is implicit: the
     process simply cannot do anything else.
 
-    An interrupt that reaches a waiter before its grant resumes it
-    withdraws the acquire: the waiter is thrown
-    :class:`~repro.sim.core.Interrupt` without the lock, and the lock
-    passes to the next waiter or is freed.
-
     Statistics: ``total_wait_us``, ``acquisitions``, ``max_queue``.
     """
 
@@ -102,7 +97,7 @@ class SpinLock:
         self.max_queue = 0
 
     def acquire(self) -> LockGrant:
-        grant = LockGrant(self)
+        grant = LockGrant()
         if not self.locked:
             self.locked = True
             self._grant(grant)

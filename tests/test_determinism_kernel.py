@@ -8,9 +8,8 @@ replay identical workloads on both kernels step-by-step and compare the
 traced schedules, then pin a set of end-to-end golden values captured from
 the seed kernel.
 
-The two deliberate behaviour *fixes* (the ``max_events`` off-by-one and the
-interrupt-vs-completion races) are excluded here — they are covered as
-regression tests in ``tests/test_sim_core.py``.
+The deliberate behaviour fix (the ``max_events`` off-by-one) is excluded
+here — it is covered by regression tests in ``tests/test_sim_core.py``.
 
 The seed kernel has no idle :class:`~repro.sim.core.Sleeper` and no
 :class:`~repro.sim.core.LockGrant`; its workloads run the seed-era
@@ -40,7 +39,7 @@ def next_key(sim):
 def trace_schedule(mod, build):
     """Run ``build(sim, mod)`` then drain the sim via ``step()``, recording
     the ``(time, priority, seq)`` triple of every processed event."""
-    sim = mod.Simulator(strict=False)
+    sim = mod.Simulator()
     build(sim, mod)
     sched = []
     key = next_key(sim)
@@ -97,28 +96,6 @@ def build_process_ping_pong(sim, mod):
     sim.process(parent(sim, 60))
 
 
-def build_conditions(sim, mod):
-    def waiter(sim):
-        evs = [sim.timeout(float(i % 4)) for i in range(16)]
-        yield mod.AllOf(sim, evs)
-        first = yield mod.AnyOf(sim, [sim.timeout(3.0), sim.timeout(1.0)])
-        assert first[1] is None
-    for _ in range(6):
-        sim.process(waiter(sim))
-
-
-def build_condition_rounds(sim, mod):
-    # round after round of 16-wide fan-ins; each AnyOf leaves its slower
-    # timeout pending while the next round's events are scheduled
-    def waiter(sim, rounds):
-        for _ in range(rounds):
-            evs = [sim.timeout(0.5 + (i % 3) * 0.25) for i in range(16)]
-            yield mod.AllOf(sim, evs)
-            yield mod.AnyOf(sim, [sim.timeout(1.0), sim.timeout(2.0)])
-    sim.process(waiter(sim, 8))
-    sim.process(waiter(sim, 5))
-
-
 def build_already_processed_resume(sim, mod):
     done = sim.event()
     done.succeed("early")
@@ -144,18 +121,6 @@ def build_schedule_call_chains(sim, mod):
     sim.process(proc(sim))
 
 
-def build_interrupt_sleeping(sim, mod):
-    # The plain sleeping-process interrupt behaves identically on both
-    # kernels (the fixed races need triggered-but-unprocessed targets).
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-        except mod.Interrupt:
-            yield sim.timeout(1.0)
-    p = sim.process(sleeper(sim))
-    sim.schedule_call(2.0, lambda: p.interrupt("wake"))
-
-
 def build_urgent_ties(sim, mod):
     order = []
     def quick(sim, tag):
@@ -164,18 +129,6 @@ def build_urgent_ties(sim, mod):
     for tag in range(8):
         sim.process(quick(sim, tag))
     sim.schedule_call(5.0, lambda: order.append("normal"))
-
-
-def build_failing_processes(sim, mod):
-    def bad(sim):
-        yield sim.timeout(1.0)
-        raise RuntimeError("boom")
-    def guard(sim):
-        try:
-            yield sim.process(bad(sim))
-        except RuntimeError:
-            yield sim.timeout(0.5)
-    sim.process(guard(sim))
 
 
 # -- live-kernel wait forms, spelled the seed's way on the seed kernel ------
@@ -346,10 +299,8 @@ build_lock_contended_cas = lock_contention(0.02)
 
 
 WORKLOADS = [build_timeout_storm, build_process_chain,
-             build_process_ping_pong, build_conditions,
-             build_condition_rounds, build_already_processed_resume,
-             build_schedule_call_chains, build_interrupt_sleeping,
-             build_urgent_ties, build_failing_processes,
+             build_process_ping_pong, build_already_processed_resume,
+             build_schedule_call_chains, build_urgent_ties,
              build_sleep_woken_before_timer, build_sleep_woken_by_timer,
              build_sleep_notified_at_deadline, build_lock_uncontended,
              build_lock_contended_free, build_lock_contended_cas]
@@ -418,24 +369,21 @@ def test_lock_workloads_contend_as_claimed(build, max_queue):
 def logged(gen, sim, name, log):
     """Drive ``gen`` as its process would, appending ``(now, name,
     sim._seq)`` to ``log`` at every resume."""
-    value, exc = None, None
+    value = None
     while True:
         log.append((sim.now, name, sim._seq))
         try:
-            nxt = gen.send(value) if exc is None else gen.throw(exc)
+            nxt = gen.send(value)
         except StopIteration as stop:
             return stop.value
-        try:
-            value, exc = (yield nxt), None
-        except Exception as thrown:      # an Interrupt or a failed wait
-            value, exc = None, thrown
+        value = yield nxt
 
 
 def resume_log(build, drive):
     """Build ``build`` on a live simulator whose processes log every
     resume and drive it with ``drive(sim, built)``; return the log and
     the final ``(now, event_count, _seq)``."""
-    sim = live_kernel.Simulator(strict=False)
+    sim = live_kernel.Simulator()
     log = []
     make = sim.process
 
@@ -503,65 +451,9 @@ def build_cotemporal_hand_overs(sim, mod):
     return order
 
 
-def build_lock_waiter_interrupted(sim, mod):
-    # a waiter interrupted while queued: its grant passes the lock on to
-    # the waiter queued behind it
-    lock = SpinLock(sim, acquire_cost=0.5)
-
-    def holder(sim):
-        yield lock.acquire()
-        yield 5.0
-        lock.release()
-
-    def waiter(sim):
-        try:
-            yield lock.acquire()
-        except live_kernel.Interrupt:
-            yield 10.0
-
-    def next_waiter(sim):
-        yield lock.acquire()
-        yield 1.0
-        lock.release()
-
-    sim.process(holder(sim))
-    p = sim.process(waiter(sim))
-    sim.process(next_waiter(sim))
-    sim.schedule_call(2.0, p.interrupt)
-
-
-def build_lock_waiter_interrupted_after_grant(sim, mod):
-    # the waiter's grant has popped when an interrupt due at that instant
-    # lands, before its resume record: the interrupt passes the lock on
-    lock = SpinLock(sim, acquire_cost=0.5)
-    procs = []
-
-    def holder(sim):
-        yield lock.acquire()
-        yield 5.0
-        lock.release()
-        sim.schedule_call(0.5, procs[0].interrupt)
-
-    def waiter(sim):
-        try:
-            yield lock.acquire()
-        except live_kernel.Interrupt:
-            yield 10.0
-
-    def next_waiter(sim):
-        yield lock.acquire()
-        yield 1.0
-        lock.release()
-
-    sim.process(holder(sim))
-    procs.append(sim.process(waiter(sim)))
-    sim.process(next_waiter(sim))
-
-
 #: inputs for the run/step tie only: the seed kernel has no wire
 #: delivery priority, no Sleeper and no LockGrant
-RUN_STEP_ONLY = [build_cotemporal_hand_overs, build_lock_waiter_interrupted,
-                 build_lock_waiter_interrupted_after_grant]
+RUN_STEP_ONLY = [build_cotemporal_hand_overs]
 
 
 @pytest.mark.parametrize("build", WORKLOADS + RUN_STEP_ONLY,
@@ -666,22 +558,6 @@ def test_run_until_stops_on_a_process_completion():
     assert (resume_log(build_lock_workers, until_first)
             == resume_log(build_lock_workers, step_first))
     assert snaps[0] == snaps[1] and snaps[0][3] is not None
-
-
-def test_batched_schedule_calls_matches_seed_individual_calls():
-    """schedule_calls() must push heap tuples identical to a loop of
-    seed-kernel schedule_call()s."""
-    pairs = [(3.0, lambda: None), (0.0, lambda: None), (1.5, lambda: None),
-             (1.5, lambda: None), (7.25, lambda: None)]
-
-    def build_batched(sim, mod):
-        if hasattr(sim, "schedule_calls"):
-            sim.schedule_calls(pairs)
-        else:
-            for d, fn in pairs:
-                sim.schedule_call(d, fn)
-
-    assert_identical_schedule(build_batched)
 
 
 # ---------------------------------------------------------------------------

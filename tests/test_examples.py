@@ -57,9 +57,3 @@ def test_design_space_sweep_small(tmp_path):
                       "--out", str(tmp_path / "s.json"))
     assert "device replication" in out
     assert "saved + reloaded" in out
-
-
-def test_graph_bfs_example():
-    out = run_example("graph_bfs.py", "--vertices", "300")
-    assert "matches the sequential reference" in out
-    assert "MTEPS" in out

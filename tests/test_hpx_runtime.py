@@ -356,45 +356,3 @@ def test_worker_runs_tasks_parcels_and_messages_in_fifo_order():
     assert ran == ["task", "parcel", "after", "m0", "m1"]
     assert [w.stats.counters["tasks_run"] for w in loc.workers] == [6]
     assert loc.sched.pending() == 0
-
-
-def test_custom_fabric_factory():
-    """Experiments can swap the crossbar for an oversubscribed fat tree."""
-    from functools import partial
-    from repro.netsim import FatTreeFabric
-    from repro.parcelport import make_parcelport_factory
-
-    from repro.hpx_rt import HpxRuntime
-
-    def build(oversub):
-        factory = partial(FatTreeFabric, nodes_per_switch=2,
-                          oversubscription=oversub)
-        rt = HpxRuntime(LAPTOP, 4,
-                        make_parcelport_factory("lci_psr_cq_pin_i"),
-                        immediate=True, fabric_factory=factory)
-        done = rt.new_latch(12)
-
-        def sink(worker, i, blob):
-            done.count_down()
-            return None
-
-        rt.register_action("sink", sink)
-
-        def sender(worker):
-            for i in range(12):
-                # node 0 (switch 0) -> node 3 (switch 1): crosses uplinks
-                yield from rt.locality(0).apply(worker, 3, "sink",
-                                                (i, "x"),
-                                                arg_sizes=[8, 60000])
-
-        rt.boot()
-        rt.locality(0).spawn(sender)
-        rt.run_until(done, max_events=2_000_000)
-        return rt
-
-    fast = build(1.0)
-    slow = build(32.0)
-    assert isinstance(fast.fabric, FatTreeFabric)
-    assert fast.fabric.stats.counters["cross_switch_msgs"] > 0
-    # heavier oversubscription -> slower end-to-end completion
-    assert slow.now > fast.now

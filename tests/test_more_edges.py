@@ -7,7 +7,6 @@ from repro.lci_sim import DEFAULT_LCI_PARAMS, LciParams
 from repro.mpi_sim import ANY_SOURCE, ANY_TAG, DEFAULT_MPI_PARAMS, MpiParams
 from repro.netsim import Fabric, TESTNET
 from repro.sim import Simulator
-from repro.tcp_sim import DEFAULT_TCP_PARAMS
 
 
 # ---------------------------------------------------------------------------
@@ -20,8 +19,6 @@ def test_param_with_overrides_are_copies():
     l = DEFAULT_LCI_PARAMS.with_(num_devices=3)
     assert l.num_devices == 3
     assert DEFAULT_LCI_PARAMS.num_devices == 1
-    t = DEFAULT_TCP_PARAMS.with_(mss_bytes=100)
-    assert t.mss_bytes == 100
 
 
 def test_params_are_frozen():

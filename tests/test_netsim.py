@@ -139,76 +139,6 @@ def test_with_override():
     assert p.bytes_per_us == TESTNET.bytes_per_us
 
 
-# ---------------------------------------------------------------------------
-# FatTreeFabric
-# ---------------------------------------------------------------------------
-def test_fat_tree_same_switch_like_crossbar():
-    from repro.netsim import FatTreeFabric
-    sim = Simulator()
-    fabric = FatTreeFabric(sim, TESTNET, nodes_per_switch=4)
-    a, b = fabric.add_node(0), fabric.add_node(1)
-    a.post_send(NetMsg(src=0, dst=1, size=1000, kind="x"))
-    sim.run()
-    got = b.poll_rx()
-    expected = TESTNET.tx_time(1000) + TESTNET.wire_latency_us
-    assert got.arrive_t == pytest.approx(expected)
-    assert fabric.stats.counters.get("cross_switch_msgs", 0) == 0
-
-
-def test_fat_tree_cross_switch_adds_hops():
-    from repro.netsim import FatTreeFabric
-    sim = Simulator()
-    fabric = FatTreeFabric(sim, TESTNET, nodes_per_switch=2,
-                           switch_hop_us=0.5)
-    nics = [fabric.add_node(i) for i in range(4)]
-    nics[0].post_send(NetMsg(src=0, dst=3, size=1000, kind="x"))
-    sim.run()
-    got = nics[3].poll_rx()
-    same_switch = TESTNET.tx_time(1000) + TESTNET.wire_latency_us
-    assert got.arrive_t > same_switch + 2 * 0.5 - 1e-9
-    assert fabric.stats.counters["cross_switch_msgs"] == 1
-    assert fabric.switch_of(0) == 0 and fabric.switch_of(3) == 1
-
-
-def test_fat_tree_oversubscription_serializes_uplink():
-    from repro.netsim import FatTreeFabric
-
-    def span(oversub):
-        sim = Simulator()
-        fabric = FatTreeFabric(sim, TESTNET, nodes_per_switch=2,
-                               oversubscription=oversub)
-        nics = [fabric.add_node(i) for i in range(4)]
-        # both nodes of switch 0 blast cross-switch traffic at once
-        for src, dst in ((0, 2), (1, 3)):
-            for _ in range(5):
-                nics[src].post_send(NetMsg(src=src, dst=dst, size=50000,
-                                           kind="x"))
-        sim.run()
-        return sim.now
-
-    # heavier oversubscription -> the shared up-link finishes later
-    assert span(8.0) > span(1.0)
-
-
-def test_fat_tree_invalid_parameters():
-    from repro.netsim import FatTreeFabric
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        FatTreeFabric(sim, TESTNET, nodes_per_switch=0)
-    with pytest.raises(ValueError):
-        FatTreeFabric(sim, TESTNET, oversubscription=0.0)
-
-
-def test_fat_tree_loopback():
-    from repro.netsim import FatTreeFabric
-    sim = Simulator()
-    fabric = FatTreeFabric(sim, TESTNET, nodes_per_switch=2)
-    a = fabric.add_node(0)
-    a.post_send(NetMsg(src=0, dst=0, size=100, kind="x"))
-    sim.run()
-    assert a.poll_rx() is not None
-
-
 def test_nic_virtual_channels_separate_traffic():
     sim, fabric, (a, b) = make_net()
     a.post_send(NetMsg(src=0, dst=1, size=8, kind="x", vchan=0))

@@ -51,17 +51,10 @@ def test_parse_rejects_unknown_tokens():
         PPConfig.parse("lci_bogus")
     with pytest.raises(ValueError):
         PPConfig.parse("ucx")
+    with pytest.raises(ValueError, match="must start with mpi/lci"):
+        PPConfig.parse("tcp")
     with pytest.raises(ValueError):
         PPConfig.parse("")
-
-
-def test_parse_tcp_backend():
-    assert PPConfig.parse("tcp").label == "tcp"
-    assert PPConfig.parse("tcp_i").immediate
-    with pytest.raises(ValueError):
-        PPConfig.parse("tcp_psr")
-    with pytest.raises(ValueError):
-        PPConfig.parse("tcp_orig")
 
 
 def test_parse_rejects_lci_tokens_on_mpi():
@@ -69,6 +62,13 @@ def test_parse_rejects_lci_tokens_on_mpi():
         PPConfig.parse("mpi_psr")
     with pytest.raises(ValueError):
         PPConfig.parse("mpi_cq_i")
+
+
+@pytest.mark.parametrize("spec", ["lci_orig", "lci_psr_orig_i"])
+def test_parse_rejects_orig_on_lci(spec):
+    # orig selects an MPI variant: an LCI spec must refuse it, not drop it
+    with pytest.raises(ValueError, match="orig token is MPI-only"):
+        PPConfig.parse(spec)
 
 
 def test_invalid_field_values_rejected():
@@ -95,7 +95,7 @@ def test_table1_contents_match_paper():
     assert TABLE1["pin"] == "Use a pinned dedicated progress thread"
     assert TABLE1["mt"] == "Use all worker threads to make progress"
     assert TABLE1["i"] == "Enable the send immediate optimization"
-    assert set(TABLE1) == {"tcp", "mpi", "lci", "sr", "psr", "sy", "cq",
+    assert set(TABLE1) == {"mpi", "lci", "sr", "psr", "sy", "cq",
                            "pin", "mt", "i"}
 
 
@@ -110,31 +110,19 @@ def test_with_override():
 # backend-field normalization + canonical_name round-trips
 
 
-def test_tcp_normalizes_lci_only_fields():
-    # LCI-only fields on a non-LCI backend collapse to their defaults,
-    # so behaviorally-identical configs compare and hash identically.
-    assert PPConfig(backend="tcp", protocol="sr") == PPConfig(backend="tcp")
-    assert PPConfig(backend="tcp", completion="sy",
-                    progress="worker") == PPConfig(backend="tcp")
-    assert hash(PPConfig(backend="tcp", protocol="sr")) == \
-        hash(PPConfig(backend="tcp"))
-
-
 def test_mpi_normalizes_lci_only_fields():
     assert PPConfig(backend="mpi", protocol="sr",
                     progress="worker") == PPConfig(backend="mpi")
-    # and the mpi_variant field is LCI/tcp-inert the other way round
+    # and the mpi_variant field is LCI-inert the other way round
     assert PPConfig(backend="lci", mpi_variant="original") == \
         PPConfig(backend="lci")
-    assert PPConfig(backend="tcp", mpi_variant="original") == \
-        PPConfig(backend="tcp")
 
 
 def test_normalized_label_parse_roundtrip():
     # The historical lossy case: a non-LCI config carrying non-default
     # LCI fields used to produce a label that parsed back to a
     # *different* config.  Normalization closes the loop.
-    c = PPConfig(backend="tcp", protocol="sr", completion="sy",
+    c = PPConfig(backend="mpi", protocol="sr", completion="sy",
                  progress="worker", immediate=True)
     assert PPConfig.parse(c.label) == c
 
@@ -142,7 +130,7 @@ def test_normalized_label_parse_roundtrip():
 def test_canonical_name_roundtrip_all_families():
     specs = ALL_LCI_VARIANTS + [
         "lci_psr_cq_pin", "lci_sr_cq_pin", "lci_psr_sy_mt",
-        "mpi", "mpi_i", "mpi_orig", "mpi_orig_i", "tcp", "tcp_i",
+        "mpi", "mpi_i", "mpi_orig", "mpi_orig_i",
     ]
     for spec in specs:
         c = PPConfig.parse(spec)
@@ -152,7 +140,7 @@ def test_canonical_name_roundtrip_all_families():
 
 def test_canonical_name_roundtrip_constructed():
     # Every constructible config round-trips through its canonical name.
-    for backend in ("lci", "mpi", "tcp"):
+    for backend in ("lci", "mpi"):
         for immediate in (False, True):
             c = PPConfig(backend=backend, immediate=immediate)
             assert PPConfig.parse(c.canonical_name) == c

@@ -141,7 +141,7 @@ def test_lci_packet_pool_exhaustion_retries():
 # ---------------------------------------------------------------------------
 # determinism of the full stack
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("config", ["lci_psr_cq_pin_i", "mpi", "tcp"])
+@pytest.mark.parametrize("config", ["lci_psr_cq_pin_i", "mpi"])
 def test_full_stack_determinism(config):
     t1 = run_n(config, [8, 20000, 64], seed=7).now
     t2 = run_n(config, [8, 20000, 64], seed=7).now

@@ -245,50 +245,8 @@ def test_faulty_runs_are_deterministic(config, seed):
 
 
 # ---------------------------------------------------------------------------
-# TCP segmentation / collectives properties
+# collectives properties
 # ---------------------------------------------------------------------------
-@given(st.integers(min_value=1, max_value=500_000),
-       st.integers(min_value=256, max_value=65536))
-@settings(max_examples=25, deadline=None)
-def test_tcp_segmentation_conserves_bytes(size, mss):
-    from repro.netsim import Fabric, TESTNET
-    from repro.tcp_sim import DEFAULT_TCP_PARAMS, TcpStack
-
-    sim = Simulator()
-    fabric = Fabric(sim, TESTNET)
-    params = DEFAULT_TCP_PARAMS.with_(mss_bytes=mss)
-    a = TcpStack(sim, fabric.add_node(0), 0, params)
-    b = TcpStack(sim, fabric.add_node(1), 1, params)
-
-    class W:
-        def __init__(self):
-            self.sim = sim
-
-        def cpu(self, us):
-            return sim.timeout(us)
-
-    w = W()
-    got = []
-
-    def sender():
-        yield from a.send_msg(w, 1, size, meta="m")
-
-    def receiver():
-        yield sim.timeout(1000.0)
-        while not got:
-            ready = yield from b.poll(w)
-            got.extend(ready)
-            yield sim.timeout(10.0)
-
-    sim.process(sender())
-    sim.process(receiver())
-    sim.run(max_events=500_000)
-    assert got == [(0, "m")]
-    expected_segments = -(-max(size, 1) // mss)
-    assert a.stats.counters["segments_sent"] == expected_segments
-    assert b.stats.accum["bytes_recv"] == size
-
-
 @given(st.integers(min_value=1, max_value=5),
        st.lists(st.integers(min_value=-100, max_value=100),
                 min_size=1, max_size=5))

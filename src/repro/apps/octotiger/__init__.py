@@ -5,12 +5,15 @@ structure (ghost-boundary exchange, M2M up pass, L2L down pass over an
 SFC-partitioned tree) driven through HPX actions.
 """
 
+from .analysis import (communication_matrix, load_balance,
+                       traffic_summary)
 from .driver import OctoTigerDriver, OctoTigerResult
 from .fmm import FmmModel, OctoTigerConfig, compute_neighbors
 from .octree import Octree, OctreeNode, build_octree
 from .sfc import morton_key, partition_octree
 
 __all__ = ["OctoTigerDriver", "OctoTigerResult", "OctoTigerConfig",
+           "load_balance", "communication_matrix", "traffic_summary",
            "FmmModel", "compute_neighbors",
            "Octree", "OctreeNode", "build_octree",
            "morton_key", "partition_octree"]

@@ -51,10 +51,18 @@ def test_parse_rejects_unknown_tokens():
         PPConfig.parse("lci_bogus")
     with pytest.raises(ValueError):
         PPConfig.parse("ucx")
-    with pytest.raises(ValueError, match="must start with mpi/lci"):
-        PPConfig.parse("tcp")
     with pytest.raises(ValueError):
         PPConfig.parse("")
+
+
+def test_parse_tcp_backend():
+    # there is no TCP backend: its specs are refused like any other
+    # unknown backend, not mapped onto MPI or LCI
+    for spec in ("tcp", "tcp_i", "tcp_orig"):
+        with pytest.raises(ValueError, match="must start with mpi/lci"):
+            PPConfig.parse(spec)
+    with pytest.raises(ValueError):
+        PPConfig(backend="tcp")
 
 
 def test_parse_rejects_lci_tokens_on_mpi():

@@ -1,7 +1,12 @@
-"""Tests for the sweep utility."""
+"""Tests for the sweep utility and Octo-Tiger analysis helpers."""
 
+import numpy as np
 import pytest
 
+from repro.apps.octotiger import (FmmModel, OctoTigerConfig, build_octree,
+                                  partition_octree)
+from repro.apps.octotiger.analysis import (communication_matrix,
+                                           load_balance, traffic_summary)
 from repro.bench.sweep import SweepResult, SweepSpec, run_sweep
 
 
@@ -77,3 +82,57 @@ def test_to_series_groups_and_averages():
     assert sx.ys[1] > sx.ys[0]
     # repeats produce a (possibly zero) error bar
     assert len(sx.yerr) == 2
+
+
+# ---------------------------------------------------------------------------
+# Octo-Tiger analysis
+# ---------------------------------------------------------------------------
+def make_model(n_loc=4, substeps=2, fields=3):
+    tree = build_octree(max_level=3, base_level=3)
+    partition_octree(tree, n_loc)
+    cfg = OctoTigerConfig(max_level=3, base_level=3, substeps=substeps,
+                          boundary_fields=fields)
+    return FmmModel(tree, n_loc, substeps=substeps, fields=fields), cfg
+
+
+def test_load_balance_near_perfect_for_uniform_tree():
+    model, _ = make_model()
+    lb = load_balance(model)
+    assert lb["leaves_total"] == 512
+    assert lb["imbalance"] == pytest.approx(1.0, abs=0.02)
+
+
+def test_communication_matrix_properties():
+    model, cfg = make_model()
+    mat = communication_matrix(model, cfg)
+    n = model.n_localities
+    assert mat.shape == (n, n)
+    assert (np.diag(mat) == 0).all()
+    assert mat.sum() > 0
+    # boundary exchange is symmetric in bytes (same sizes both ways);
+    # m2m/l2l adds symmetric pairs too when sizes match
+    if cfg.m2m_bytes == cfg.l2l_bytes:
+        assert (mat == mat.T).all()
+
+
+def test_communication_scales_with_substeps_and_fields():
+    m1, c1 = make_model(substeps=1, fields=1)
+    m2, c2 = make_model(substeps=2, fields=3)
+    t1 = traffic_summary(m1, c1)
+    t2 = traffic_summary(m2, c2)
+    assert t2["bytes_per_step"] > 5 * t1["bytes_per_step"]
+    assert 0.0 < t1["remote_neighbor_fraction"] < 1.0
+
+
+def test_traffic_summary_single_locality_zero():
+    model, cfg = make_model(n_loc=1)
+    t = traffic_summary(model, cfg)
+    assert t["bytes_per_step"] == 0.0
+    assert t["remote_neighbor_fraction"] == 0.0
+
+
+def test_more_localities_more_remote_traffic():
+    m2, c = make_model(n_loc=2)
+    m8, _ = make_model(n_loc=8)
+    assert traffic_summary(m8, c)["remote_neighbor_fraction"] > \
+        traffic_summary(m2, c)["remote_neighbor_fraction"]

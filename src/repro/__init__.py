@@ -23,14 +23,14 @@ Quick start::
 from .faults import FaultInjector, FaultPlan, ParcelSendError, RetryPolicy
 from .flow import FlowControlPolicy, ParcelShedError
 from .hpx_rt import (EXPANSE, LAPTOP, ROSTAM, CostModel, HpxRuntime,
-                     PlatformSpec, platform_by_name)
+                     PlatformSpec, RunOptions, platform_by_name)
 from .parcelport import (ALL_LCI_VARIANTS, PPConfig, TABLE1,
                          make_parcelport_factory)
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "HpxRuntime", "PlatformSpec", "CostModel",
+    "HpxRuntime", "RunOptions", "PlatformSpec", "CostModel",
     "EXPANSE", "ROSTAM", "LAPTOP", "platform_by_name",
     "PPConfig", "TABLE1", "ALL_LCI_VARIANTS", "make_parcelport_factory",
     "FaultPlan", "RetryPolicy", "FaultInjector", "ParcelSendError",
@@ -41,10 +41,11 @@ __all__ = [
 
 
 def make_runtime(config: "PPConfig | str", platform=LAPTOP,
-                 n_localities: int = 2, **kw) -> HpxRuntime:
+                 n_localities: int = 2, seed: int = 0xC0FFEE,
+                 options: RunOptions = RunOptions()) -> HpxRuntime:
     """Convenience constructor: runtime + parcelport from a Table-1 string."""
     if isinstance(config, str):
         config = PPConfig.parse(config)
     factory = make_parcelport_factory(config)
     return HpxRuntime(platform, n_localities, factory,
-                      immediate=config.immediate, **kw)
+                      immediate=config.immediate, seed=seed, options=options)

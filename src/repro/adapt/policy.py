@@ -15,8 +15,8 @@ Design constraints (see ``docs/TUNING.md``):
   transitions at simulated timestamps.  Rerunning the same configuration
   reproduces the exact decision trace.  No wall-clock, no randomness.
 * **Byte-identity when off** — every hook in the hot path is gated on
-  ``adapt is not None``; a runtime built without ``adapt=`` executes the
-  exact event schedule it executed before this module existed.
+  ``adapt is not None``; a runtime whose ``RunOptions.adapt`` is unset
+  runs the exact event schedule it ran before this module existed.
 * **Hysteresis + bounded steps** — a knob moves only after a signal has
   been out of band for ``dwell_ticks`` consecutive ticks, moves by at most
   a factor of ``step``, and then rests for ``cooldown_ticks``.

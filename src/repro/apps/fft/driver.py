@@ -35,7 +35,7 @@ from typing import Dict, List, Optional
 
 from ...hpx_rt.collectives import Collectives
 from ...hpx_rt.future import Latch
-from ...hpx_rt.runtime import HpxRuntime
+from ...hpx_rt.runtime import HpxRuntime, raise_parcel_failure
 from .dft import fft, is_pow2, twiddle
 
 __all__ = ["FftConfig", "FftResult", "FftDriver", "COMPLEX_BYTES"]
@@ -143,6 +143,8 @@ class FftDriver:
     # public entry point
     # ------------------------------------------------------------------
     def run(self, max_events: Optional[int] = None) -> FftResult:
+        # Every parcel is needed: a failed or shed one ends the run.
+        self.rt.on_parcel_failure = raise_parcel_failure
         self._latch = Latch(self.rt.sim, self.p)
         for lid in range(self.p):
             self.rt.locality(lid).spawn(self._make_task(lid))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ...hpx_rt.future import Latch
-from ...hpx_rt.runtime import HpxRuntime
+from ...hpx_rt.runtime import HpxRuntime, raise_parcel_failure
 from .fmm import FmmModel, OctoTigerConfig
 from .octree import Octree, build_octree
 from .sfc import partition_octree
@@ -91,6 +91,8 @@ class OctoTigerDriver:
     # ------------------------------------------------------------------
     def run(self, max_events: Optional[int] = None) -> OctoTigerResult:
         """Execute ``n_steps`` steps; returns timing + structure census."""
+        # Every parcel is needed: a failed or shed one ends the run.
+        self.rt.on_parcel_failure = raise_parcel_failure
         done = self.rt.sim.process(self._main(), name="octotiger")
         self.rt.run_until(done, max_events=max_events)
         return done.value

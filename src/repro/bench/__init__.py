@@ -16,7 +16,7 @@ _SUBMODULES = {
                 "fig7", "fig8", "fig9", "fig10", "fig11", "find_knee",
                 "platform_tables", "serve_smoke", "serve_sweep",
                 "table_abbreviations"),
-    "harness": ("Measurement", "Series", "repeat"),
+    "harness": ("Measurement", "Series", "fold"),
     "seeds": ("derive_seed", "repeat_seeds", "substream_seeds"),
     "serve_bench": ("ServeBenchParams", "ServeBenchResult", "run_serve"),
     "latency": ("LatencyParams", "LatencyResult", "run_latency"),
@@ -25,8 +25,7 @@ _SUBMODULES = {
     "octotiger_bench": ("OctoTigerBenchParams", "run_octotiger"),
     "parallel": ("ExecutionPolicy", "PointTask", "ResultCache",
                  "code_fingerprint", "evaluate_point", "execution",
-                 "fft_task", "latency_task", "message_rate_task",
-                 "octotiger_task", "run_points", "serve_task", "set_policy"),
+                 "run_points", "set_policy"),
     "profiling": ("format_breakdown", "lock_report", "runtime_breakdown"),
     "sweep": ("SweepResult", "SweepSpec", "run_sweep"),
     "calibration": ("check_calibration", "format_calibration"),

@@ -5,8 +5,8 @@ flattens the result into the primitive metric dict the sweep engine /
 figure drivers consume.  A :class:`~repro.flow.FlowControlPolicy` (with
 the reliability layer it rides on) can be switched on per point — that
 is what lets the incast sweep show credit stalls and deferred sends at
-the top of the size ladder — and ``trace=`` produces the span recorder
-the critical-path breakdown is computed from.
+the top of the size ladder — and ``RunOptions(trace=...)`` produces the
+span recorder the critical-path breakdown is computed from.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
-from ..faults import FaultPlan, RetryPolicy
 from ..flow import FlowControlPolicy
 from ..hpx_rt.platform import EXPANSE, PlatformSpec
+from ..hpx_rt.runtime import RunOptions
 from ..parcelport import PPConfig
 from .. import make_runtime
 
@@ -95,26 +95,21 @@ class FftBenchResult:
 
 def run_fft(config: "PPConfig | str", params: FftBenchParams,
             seed: int = 0xC0FFEE,
-            fault_plan: Optional[FaultPlan] = None,
-            retry_policy: Optional[RetryPolicy] = None,
-            trace: "str | bool | None" = None,
-            adapt: Any = None) -> FftBenchResult:
-    """One full distributed-FFT run for one configuration."""
+            options: RunOptions = RunOptions()) -> FftBenchResult:
+    """One full distributed-FFT run for one configuration.
+
+    Flow control and the reliability layer its credits ride on come from
+    ``params``; ``options`` must leave both unset.
+    """
     from ..apps.fft import FftConfig, FftDriver
     if isinstance(config, str):
         config = PPConfig.parse(config)
     p = params
-    flow = p.flow_policy()
-    kw: Dict[str, Any] = {}
-    if flow is not None:
-        # credits ride on the reliability layer's end-to-end acks
-        kw["reliable"] = True
-    if adapt is not None:
-        kw["adapt"] = adapt
+    options = options.with_flow(
+        p.flow_policy(), "FftBenchParams.credit_window/max_backlog")
     rt = make_runtime(config, platform=p.platform,
                       n_localities=p.n_localities, seed=seed,
-                      fault_plan=fault_plan, retry_policy=retry_policy,
-                      flow_policy=flow, trace=trace, **kw)
+                      options=options)
     driver = FftDriver(rt, FftConfig(n1=p.n1, n2=p.n2,
                                      iterations=p.iterations,
                                      fragment=p.fragment))
@@ -126,8 +121,7 @@ def run_fft(config: "PPConfig | str", params: FftBenchParams,
         total_time_us=res.total_time_us,
         points_per_second=res.points_per_second,
         checksum=res.checksum,
-        faults=rt.fault_summary()
-        if (fault_plan is not None or flow is not None) else {},
+        faults=rt.reported_faults(),
         obs=rt.obs,
         metrics=rt.metrics() if rt.obs is not None else None,
         adapt=rt.adapt.summary() if rt.adapt is not None else {})

@@ -19,15 +19,18 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..faults import FaultPlan
 from ..hpx_rt.platform import EXPANSE, ROSTAM, PlatformSpec
-from ..parcelport import ALL_LCI_VARIANTS, PPConfig, TABLE1
-from .harness import Measurement, Series, repeat
+from ..hpx_rt.runtime import RunOptions
+from ..parcelport import ALL_LCI_VARIANTS, TABLE1
+from .fft_bench import FftBenchParams
+from .harness import Series, fold
 from .latency import LatencyParams, run_latency
-from .message_rate import MessageRateParams, run_message_rate
-from .parallel import (fft_task, latency_task, message_rate_task,
-                       octotiger_task, run_points, serve_task)
+from .message_rate import MessageRateParams
+from .octotiger_bench import OctoTigerBenchParams
+from .parallel import PointTask, run_points
 from .reporting import (ascii_plot, format_bar_chart, format_series_table,
                         format_table)
 from .seeds import repeat_seeds
+from .serve_bench import ServeBenchParams
 
 __all__ = ["FigureResult", "FIGURES",
            "table_abbreviations", "platform_tables",
@@ -110,17 +113,8 @@ def platform_tables() -> str:
 # sweep plumbing: fan independent points through repro.bench.parallel
 # ---------------------------------------------------------------------------
 def _seeds(repeats: int) -> List[int]:
-    """The exact seed sequence :func:`repro.bench.harness.repeat` uses."""
+    """The repetition seeds of every figure's points."""
     return repeat_seeds(repeats)
-
-
-def _fold(results: Sequence[Dict[str, float]]) -> Dict[str, Measurement]:
-    """Aggregate per-repetition result dicts exactly like ``repeat()``."""
-    acc: Dict[str, List[float]] = {}
-    for out in results:
-        for k, v in out.items():
-            acc.setdefault(k, []).append(float(v))
-    return {k: Measurement(v) for k, v in acc.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +124,16 @@ def _rate_sweep(configs: Sequence[str], size: int, batch: int, total: int,
                 rates_kps: Sequence[Optional[float]],
                 platform: PlatformSpec, repeats: int) -> List[Series]:
     seeds = _seeds(repeats)
-    tasks = [message_rate_task(cfg, msg_size=size, batch=batch,
-                               total_msgs=total, inject_rate_kps=rate,
-                               platform=platform, seed=seed)
+    tasks = [PointTask(cfg, MessageRateParams(
+                 msg_size=size, batch=batch, total_msgs=total,
+                 inject_rate_kps=rate, platform=platform), seed)
              for cfg in configs for rate in rates_kps for seed in seeds]
     results = iter(run_points(tasks))
     series = []
     for cfg in configs:
         s = Series(label=cfg)
         for _rate in rates_kps:
-            res = _fold([next(results) for _ in seeds])
+            res = fold([next(results) for _ in seeds])
             s.add(res["achieved_injection_kps"].mean,
                   res["message_rate_kps"])
         series.append(s)
@@ -253,15 +247,16 @@ def fig7(quick: bool = True, repeats: Optional[int] = None,
     steps = steps or (20 if quick else 50)
     sizes = _SIZES_QUICK if quick else _SIZES_FULL
     seeds = _seeds(repeats)
-    tasks = [latency_task(cfg, msg_size=size, window=1, steps=steps,
-                          platform=EXPANSE, seed=seed)
+    tasks = [PointTask(cfg, LatencyParams(msg_size=size, window=1,
+                                          steps=steps, platform=EXPANSE),
+                       seed)
              for cfg in ALL_CONFIGS for size in sizes for seed in seeds]
     results = iter(run_points(tasks))
     series = []
     for cfg in ALL_CONFIGS:
         s = Series(label=cfg)
         for size in sizes:
-            res = _fold([next(results) for _ in seeds])
+            res = fold([next(results) for _ in seeds])
             s.add(size, res["one_way_latency_us"])
         series.append(s)
     return FigureResult("fig7", "Latency vs message size", series,
@@ -276,15 +271,16 @@ def _latency_window_sweep(fig: str, size: int, quick: bool,
     steps = steps or (15 if quick else 40)
     windows = [1, 4, 16, 64] if quick else [1, 2, 4, 8, 16, 32, 64]
     seeds = _seeds(repeats)
-    tasks = [latency_task(cfg, msg_size=size, window=w, steps=steps,
-                          platform=EXPANSE, seed=seed)
+    tasks = [PointTask(cfg, LatencyParams(msg_size=size, window=w,
+                                          steps=steps, platform=EXPANSE),
+                       seed)
              for cfg in ALL_CONFIGS for w in windows for seed in seeds]
     results = iter(run_points(tasks))
     series = []
     for cfg in ALL_CONFIGS:
         s = Series(label=cfg)
         for w in windows:
-            res = _fold([next(results) for _ in seeds])
+            res = fold([next(results) for _ in seeds])
             s.add(w, res["one_way_latency_us"])
         series.append(s)
     return FigureResult(fig, f"Latency vs window size ({size}B)", series,
@@ -314,14 +310,14 @@ def _octotiger_scaling(fig: str, platform: PlatformSpec, paper_level: int,
     resolved = {"lci": "lci_psr_cq_pin_i", "mpi": "mpi", "mpi_i": "mpi_i"}
     series = {c: Series(label=c) for c in configs}
     seeds = _seeds(repeats)
-    tasks = [octotiger_task(resolved[c], platform=platform,
-                            n_localities=nodes, paper_level=paper_level,
-                            n_steps=n_steps, seed=seed)
+    tasks = [PointTask(resolved[c], OctoTigerBenchParams(
+                 platform=platform, n_localities=nodes,
+                 paper_level=paper_level, n_steps=n_steps), seed)
              for nodes in node_counts for c in configs for seed in seeds]
     results = iter(run_points(tasks))
     for nodes in node_counts:
         for c in configs:
-            res = _fold([next(results) for _ in seeds])
+            res = fold([next(results) for _ in seeds])
             series[c].add(nodes, res["steps_per_second"])
     out = list(series.values())
     # relative speedup series, as plotted on the right axis of Figs 10/11
@@ -371,30 +367,32 @@ def ablation_mpi_pp(quick: bool = True, repeats: Optional[int] = None
     repeats = repeats or (1 if quick else 3)
     nodes = 8 if quick else 16
     seeds = _seeds(repeats)
-    app_tasks = [octotiger_task(cfg, platform=EXPANSE, n_localities=nodes,
-                                paper_level=6, n_steps=1 if quick else 5,
-                                seed=seed)
+    app_params = OctoTigerBenchParams(platform=EXPANSE, n_localities=nodes,
+                                      paper_level=6,
+                                      n_steps=1 if quick else 5)
+    app_tasks = [PointTask(cfg, app_params, seed)
                  for cfg in ("mpi", "mpi_orig") for seed in seeds]
     # microbenchmark side: 8 B message rate, where every parcel is one
     # header message and the original pays the tag-release round trip and
     # the fixed 512 B wire header on each
-    rate_tasks = [message_rate_task(cfg, msg_size=8, batch=100,
+    rate_params = MessageRateParams(msg_size=8, batch=100,
                                     total_msgs=2000 if quick else 10000,
                                     inject_rate_kps=None, platform=EXPANSE,
-                                    seed=seed, max_events=20_000_000)
+                                    max_events=20_000_000)
+    rate_tasks = [PointTask(cfg, rate_params, seed)
                   for cfg in ("mpi", "mpi_orig") for seed in seeds]
     results = iter(run_points(app_tasks + rate_tasks))
     series = []
     app = {}
     for cfg in ("mpi", "mpi_orig"):
         s = Series(label=cfg)
-        res = _fold([next(results) for _ in seeds])
+        res = fold([next(results) for _ in seeds])
         s.add(nodes, res["steps_per_second"])
         app[cfg] = res["steps_per_second"].mean
         series.append(s)
     rate = {}
     for cfg in ("mpi", "mpi_orig"):
-        res = _fold([next(results) for _ in seeds])
+        res = fold([next(results) for _ in seeds])
         rate[cfg] = res["message_rate_kps"].mean
     ratio_app = app["mpi"] / app["mpi_orig"] if app["mpi_orig"] else 0.0
     ratio_rate = rate["mpi"] / rate["mpi_orig"] if rate["mpi_orig"] else 0.0
@@ -436,25 +434,26 @@ def fault_smoke(quick: bool = True, repeats: Optional[int] = None,
     repeats = repeats or 1
     total = 1000 if quick else 5000
     configs = ["lci_psr_cq_pin_i", "mpi_i"]
-    drops = [0.0, 0.02, 0.1] if spec is None else [None]
+    if spec is None:
+        drops = [0.0, 0.02, 0.1]
+        plans = [FaultPlan(drop_prob=d, corrupt_prob=d / 4) for d in drops]
+    else:
+        drops = [0.0]
+        plans = [FaultPlan.parse(spec)]
+    params = MessageRateParams(msg_size=8, batch=50, total_msgs=total,
+                               inject_rate_kps=None, platform=EXPANSE)
+    seeds = _seeds(repeats)
+    tasks = [PointTask(cfg, params, seed, RunOptions(fault_plan=plan))
+             for cfg in configs for plan in plans for seed in seeds]
+    results = iter(run_points(tasks))
     series = []
     counters: Dict[str, Dict[str, float]] = {}
     for cfg in configs:
         s = Series(label=cfg)
-        for i, drop in enumerate(drops):
-            plan = (FaultPlan.parse(spec) if spec is not None
-                    else FaultPlan(drop_prob=drop, corrupt_prob=drop / 4))
-            params = MessageRateParams(msg_size=8, batch=50,
-                                       total_msgs=total,
-                                       inject_rate_kps=None,
-                                       platform=EXPANSE)
-            res = repeat(lambda seed, plan=plan:
-                         run_message_rate(cfg, params, seed,
-                                          fault_plan=plan).as_dict(),
-                         n=repeats)
-            x = drop if drop is not None else float(i)
+        for x, plan in zip(drops, plans):
+            res = fold([next(results) for _ in seeds])
             s.add(x, res["message_rate_kps"])
-            if plan is not None and not plan.is_zero:
+            if not plan.is_zero:
                 counters[f"{cfg}@{plan.describe()}"] = {
                     k: m.mean for k, m in res.items()
                     if k.startswith("fault.") or k == "failed_msgs"}
@@ -499,20 +498,20 @@ def overload_smoke(quick: bool = True, repeats: Optional[int] = None,
     flow = FlowControlPolicy(credit_window=4, max_backlog=64,
                              max_queued_parcels=256,
                              rendezvous_fallback_after=2)
+    params = MessageRateParams(msg_size=8, batch=50, total_msgs=total,
+                               inject_rate_kps=None, platform=EXPANSE)
+    seeds = _seeds(repeats)
+    tasks = [PointTask(cfg, params, seed,
+                       RunOptions(fault_plan=active_plan, flow_policy=flow))
+             for cfg in OVERLOAD_CONFIGS for active_plan in (None, plan)
+             for seed in seeds]
+    results = iter(run_points(tasks))
     series = []
     counters: Dict[str, Dict[str, float]] = {}
     for cfg in OVERLOAD_CONFIGS:
         s = Series(label=cfg)
         for x, active_plan in ((0.0, None), (1.0, plan)):
-            params = MessageRateParams(msg_size=8, batch=50,
-                                       total_msgs=total,
-                                       inject_rate_kps=None,
-                                       platform=EXPANSE)
-            res = repeat(lambda seed, active_plan=active_plan:
-                         run_message_rate(cfg, params, seed,
-                                          fault_plan=active_plan,
-                                          flow_policy=flow).as_dict(),
-                         n=repeats)
+            res = fold([next(results) for _ in seeds])
             s.add(x, res["message_rate_kps"])
             if active_plan is not None:
                 counters[f"{cfg}@{plan.describe()}"] = {
@@ -563,7 +562,7 @@ def trace_smoke(quick: bool = True, repeats: Optional[int] = None,
     runs = []
     for cfg in configs:
         params = LatencyParams(msg_size=8, window=window, steps=steps)
-        res = run_latency(cfg, params, trace=spec)
+        res = run_latency(cfg, params, options=RunOptions(trace=spec))
         rep = analyze(res.obs)
         s = Series(label=cfg)
         s.xs.append(float(window))
@@ -628,10 +627,11 @@ def _fft_breakdown(cfg: str, n: int, n_loc: int, seed: int
     vs under the MPI progress lock vs in LCI polling.
     """
     from ..obs import analyze
-    from .fft_bench import FftBenchParams, run_fft
+    from .fft_bench import run_fft
 
     params = FftBenchParams(n1=n, n2=n, n_localities=n_loc, **FFT_FLOW)
-    res = run_fft(cfg, params, seed=seed, trace="parcel")
+    res = run_fft(cfg, params, seed=seed,
+                  options=RunOptions(trace="parcel"))
     rep = analyze(res.obs)
     shares = rep.shares()
     counters = {
@@ -667,7 +667,6 @@ def fft_smoke(quick: bool = True, repeats: Optional[int] = None
     counters: Dict[str, Dict[str, float]] = {}
     reports: Dict[str, str] = {}
     dominant: Dict[str, str] = {}
-    from .fft_bench import FftBenchParams
     x = float(FftBenchParams(n1=n, n2=n,
                              n_localities=n_loc).transpose_msg_bytes)
     for cfg in FFT_CONFIGS:
@@ -709,9 +708,9 @@ def fft_sweep(quick: bool = True, repeats: Optional[int] = None
     n_loc = 4 if quick else 8
     sizes = [16, 32, 64] if quick else [32, 64, 128]
     seeds = _seeds(repeats)
-    from .fft_bench import FftBenchParams
-    tasks = [fft_task(cfg, n1=n, n2=n, n_localities=n_loc,
-                      platform=EXPANSE, seed=seed, **FFT_FLOW)
+    tasks = [PointTask(cfg, FftBenchParams(n1=n, n2=n, n_localities=n_loc,
+                                           platform=EXPANSE, **FFT_FLOW),
+                       seed)
              for cfg in FFT_CONFIGS for n in sizes for seed in seeds]
     results = iter(run_points(tasks))
     series = []
@@ -719,7 +718,7 @@ def fft_sweep(quick: bool = True, repeats: Optional[int] = None
     for cfg in FFT_CONFIGS:
         s = Series(label=cfg)
         for n in sizes:
-            res = _fold([next(results) for _ in seeds])
+            res = fold([next(results) for _ in seeds])
             x = float(FftBenchParams(
                 n1=n, n2=n, n_localities=n_loc).transpose_msg_bytes)
             s.add(x, res["points_per_second"])
@@ -796,9 +795,8 @@ def find_knee(loads: Sequence[float], attainments: Sequence[float],
     return knee
 
 
-def _serve_params(offered_kps: float, horizon_us: float):
-    from .serve_bench import ServeBenchParams
-
+def _serve_params(offered_kps: float, horizon_us: float
+                  ) -> ServeBenchParams:
     return ServeBenchParams(offered_kps=offered_kps, horizon_us=horizon_us,
                             **SERVE_FLOW)
 
@@ -826,7 +824,7 @@ def _serve_breakdown(cfg: str, offered_kps: float, horizon_us: float,
     from .serve_bench import run_serve
 
     res = run_serve(cfg, _serve_params(offered_kps, horizon_us), seed=seed,
-                    trace="parcel")
+                    options=RunOptions(trace="parcel"))
     rep = analyze(res.obs)
     shares = rep.shares()
     ctrs = _serve_counters(res.as_dict())
@@ -905,9 +903,7 @@ def serve_sweep(quick: bool = True, repeats: Optional[int] = None
     loads = _SERVE_LOADS_QUICK if quick else _SERVE_LOADS_FULL
     horizon = 2000.0 if quick else 4000.0
     seeds = _seeds(repeats)
-    tasks = [serve_task(cfg, offered_kps=kps, horizon_us=horizon,
-                        n_localities=4, platform=EXPANSE, seed=seed,
-                        **SERVE_FLOW)
+    tasks = [PointTask(cfg, _serve_params(kps, horizon), seed)
              for cfg in SERVE_CONFIGS for kps in loads for seed in seeds]
     results = iter(run_points(tasks))
     series = []
@@ -920,7 +916,7 @@ def serve_sweep(quick: bool = True, repeats: Optional[int] = None
         att: List[float] = []
         tail: List[float] = []
         for kps in loads:
-            res = _fold([next(results) for _ in seeds])
+            res = fold([next(results) for _ in seeds])
             s.add(kps, res["goodput_kps"])
             att.append(res["slo_attainment"].mean)
             tail.append(res["p99_us"].mean)
@@ -962,10 +958,11 @@ def adapt_smoke(quick: bool = True,
     spec = AdaptiveSpec(agg_hold_init=1024, agg_hold_max=16384)
     rates = [400.0, None]
     seeds = _seeds(repeats)
-    variants = [(cfg, None), (f"{cfg}+adapt", spec.as_dict())]
-    tasks = [message_rate_task(cfg, msg_size=8, batch=100, total_msgs=total,
-                               inject_rate_kps=rate, platform=EXPANSE,
-                               seed=seed, adapt=adapt)
+    variants = [(cfg, None), (f"{cfg}+adapt", spec)]
+    tasks = [PointTask(cfg, MessageRateParams(
+                 msg_size=8, batch=100, total_msgs=total,
+                 inject_rate_kps=rate, platform=EXPANSE), seed,
+                 RunOptions(adapt=adapt))
              for _label, adapt in variants for rate in rates
              for seed in seeds]
     results = iter(run_points(tasks))
@@ -974,7 +971,7 @@ def adapt_smoke(quick: bool = True,
     for label, adapt in variants:
         s = Series(label=label)
         for _rate in rates:
-            res = _fold([next(results) for _ in seeds])
+            res = fold([next(results) for _ in seeds])
             s.add(res["achieved_injection_kps"].mean,
                   res["message_rate_kps"])
         if adapt is not None:

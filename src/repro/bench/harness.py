@@ -1,4 +1,4 @@
-"""Repetition harness: run an experiment N times, report mean/std.
+"""Repetition harness: fold N repetitions of a point into mean/std.
 
 The paper performs every experiment at least five times and plots mean and
 standard deviation; drivers here do the same (with a configurable repeat
@@ -9,12 +9,11 @@ seed, which perturbs workload jitter and tree refinement).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Dict, Iterable, List
 
 from ..sim.stats import summarize
-from .seeds import REPEAT_BASE, repeat_seeds
 
-__all__ = ["Measurement", "repeat", "Series"]
+__all__ = ["Measurement", "fold", "Series"]
 
 
 @dataclass
@@ -39,22 +38,15 @@ class Measurement:
         return f"{self.mean:.3g}±{self.std:.2g}"
 
 
-def repeat(fn: Callable[..., Dict[str, float]], n: int = 3,
-           base_seed: int = REPEAT_BASE,
-           fn_kwargs: "Dict[str, Any] | None" = None
-           ) -> Dict[str, Measurement]:
-    """Run ``fn(seed, **fn_kwargs)`` ``n`` times; aggregate each key.
+def fold(results: Iterable[Dict[str, float]]) -> Dict[str, Measurement]:
+    """Aggregate per-repetition result dicts key by key.
 
-    Seeds come from the shared :func:`repro.bench.seeds.repeat_seeds`
-    ladder (exactly the historical ``base + i*7919`` sequence), so the
-    sequential harness and the parallel sweep engine evaluate identical
-    points.  ``fn_kwargs`` threads extra experiment knobs (e.g. a fault
-    plan) through to every repetition without wrapping ``fn`` in a lambda.
+    The repetitions of a point run on the
+    :func:`repro.bench.seeds.repeat_seeds` ladder; each key's values keep
+    that order.
     """
-    kw = fn_kwargs or {}
     acc: Dict[str, List[float]] = {}
-    for seed in repeat_seeds(n, base=base_seed):
-        out = fn(seed, **kw)
+    for out in results:
         for k, v in out.items():
             acc.setdefault(k, []).append(float(v))
     return {k: Measurement(v) for k, v in acc.items()}

@@ -9,11 +9,10 @@ every pong is a separate HPX task.  One-way latency = total time /
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from ..faults import FaultPlan, RetryPolicy
-from ..flow import FlowControlPolicy
 from ..hpx_rt.platform import EXPANSE, PlatformSpec
+from ..hpx_rt.runtime import RunOptions
 from ..parcelport import PPConfig
 from .. import make_runtime
 
@@ -64,35 +63,30 @@ class LatencyResult:
 
 def run_latency(config: "PPConfig | str", params: LatencyParams,
                 seed: int = 0xC0FFEE,
-                fault_plan: Optional[FaultPlan] = None,
-                retry_policy: Optional[RetryPolicy] = None,
-                flow_policy: Optional[FlowControlPolicy] = None,
-                trace: "str | bool | None" = None) -> LatencyResult:
+                options: RunOptions = RunOptions()) -> LatencyResult:
     """One latency run: ``window`` chains × ``steps`` round trips.
 
-    With a ``fault_plan``, a chain whose ping or pong exhausts its retries
-    is counted as failed and released — the run still terminates.  A
-    ``flow_policy`` adds credit/backlog throttling (a shed ping or pong
-    likewise kills its chain).
+    With a fault plan in ``options``, a chain whose ping or pong exhausts
+    its retries is counted as failed and released — the run still
+    terminates.  A flow policy adds credit/backlog throttling (a shed
+    ping or pong likewise kills its chain).
     """
     if isinstance(config, str):
         config = PPConfig.parse(config)
     p = params
     rt = make_runtime(config, platform=p.platform, n_localities=2, seed=seed,
-                      fault_plan=fault_plan, retry_policy=retry_policy,
-                      flow_policy=flow_policy, trace=trace)
+                      options=options)
     sim = rt.sim
     done = rt.new_latch(p.window)
     size = p.msg_size
     state = {"failed_chains": 0}
 
-    if fault_plan is not None or flow_policy is not None:
-        def on_fail(parcel, exc):
-            # Exactly one ping or pong is in flight per chain, so a failed
-            # parcel kills exactly one chain: release its latch slot.
-            state["failed_chains"] += 1
-            done.count_down()
-        rt.on_parcel_failure = on_fail
+    def on_fail(parcel, exc):
+        # Exactly one ping or pong is in flight per chain, so a failed
+        # parcel kills exactly one chain: release its latch slot.
+        state["failed_chains"] += 1
+        done.count_down()
+    rt.on_parcel_failure = on_fail
 
     def ping(worker, token):
         # Runs on locality 1; answer with a pong.
@@ -124,8 +118,6 @@ def run_latency(config: "PPConfig | str", params: LatencyParams,
     return LatencyResult(config=config.label, params=p,
                          total_time_us=sim.now,
                          failed_chains=state["failed_chains"],
-                         faults=rt.fault_summary()
-                         if (fault_plan is not None or flow_policy is not None)
-                         else {},
+                         faults=rt.reported_faults(),
                          obs=rt.obs,
                          metrics=rt.metrics() if rt.obs is not None else None)

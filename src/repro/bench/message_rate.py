@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
-from ..faults import FaultPlan, RetryPolicy
-from ..flow import FlowControlPolicy
 from ..hpx_rt.platform import EXPANSE, PlatformSpec
-from ..parcelport import PPConfig, make_parcelport_factory
+from ..hpx_rt.runtime import RunOptions
+from ..parcelport import PPConfig
 from .. import make_runtime
 
 __all__ = ["MessageRateParams", "MessageRateResult", "run_message_rate"]
@@ -93,19 +92,15 @@ class MessageRateResult:
 
 def run_message_rate(config: "PPConfig | str", params: MessageRateParams,
                      seed: int = 0xC0FFEE,
-                     fault_plan: Optional[FaultPlan] = None,
-                     retry_policy: Optional[RetryPolicy] = None,
-                     flow_policy: Optional[FlowControlPolicy] = None,
-                     trace: "str | bool | None" = None,
-                     adapt: Any = None
+                     options: RunOptions = RunOptions()
                      ) -> MessageRateResult:
     """One full message-rate run for one configuration.
 
-    With a ``fault_plan``, messages may be dropped/corrupted and the
-    parcelport retransmits them; messages that exhaust their retries are
-    counted as failed and the benchmark still terminates (no hang).
-    With a ``flow_policy``, senders are throttled (or shed) instead of
-    growing unbounded queues when the receiver falls behind.
+    With a fault plan in ``options``, messages may be dropped/corrupted
+    and the parcelport retransmits them; messages that exhaust their
+    retries are counted as failed and the benchmark still terminates (no
+    hang).  With a flow policy, senders are throttled (or shed) instead
+    of growing unbounded queues when the receiver falls behind.
     """
     if isinstance(config, str):
         config = PPConfig.parse(config)
@@ -113,12 +108,8 @@ def run_message_rate(config: "PPConfig | str", params: MessageRateParams,
     n_tasks, rem = divmod(p.total_msgs, p.batch)
     if rem:
         raise ValueError("total_msgs must be a multiple of batch")
-    kw: Dict[str, Any] = {}
-    if adapt is not None:
-        kw["adapt"] = adapt
     rt = make_runtime(config, platform=p.platform, n_localities=2, seed=seed,
-                      fault_plan=fault_plan, retry_policy=retry_policy,
-                      flow_policy=flow_policy, trace=trace, **kw)
+                      options=options)
     sim = rt.sim
 
     state = {"received": 0, "failed": 0, "tasks_done": 0,
@@ -143,18 +134,17 @@ def run_message_rate(config: "PPConfig | str", params: MessageRateParams,
     rt.register_action("sink", sink)
     rt.register_action("ack", ack)
 
-    if fault_plan is not None or flow_policy is not None:
-        def on_fail(parcel, exc):
-            if parcel.action == "sink":
-                state["failed"] += 1
-                if state["received"] + state["failed"] == p.total_msgs:
-                    # Every message is accounted for, but the receiver can
-                    # no longer see the full count — finish from here.
-                    finish()
-            else:
-                # The final ack round itself failed.
+    def on_fail(parcel, exc):
+        if parcel.action == "sink":
+            state["failed"] += 1
+            if state["received"] + state["failed"] == p.total_msgs:
+                # Every message is accounted for, but the receiver can
+                # no longer see the full count — finish from here.
                 finish()
-        rt.on_parcel_failure = on_fail
+        else:
+            # The final ack round itself failed.
+            finish()
+    rt.on_parcel_failure = on_fail
 
     sender = rt.locality(0)
     size = p.msg_size
@@ -191,8 +181,7 @@ def run_message_rate(config: "PPConfig | str", params: MessageRateParams,
         inject_time_us=state["t_inject"], comm_time_us=state["t_comm"],
         total_msgs=p.total_msgs,
         failed_msgs=state["failed"],
-        faults=rt.fault_summary()
-        if (fault_plan is not None or flow_policy is not None) else {},
+        faults=rt.reported_faults(),
         obs=rt.obs,
         metrics=rt.metrics() if rt.obs is not None else None,
         adapt=rt.adapt.summary() if rt.adapt is not None else {})

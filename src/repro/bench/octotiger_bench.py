@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from ..hpx_rt.platform import EXPANSE, PlatformSpec
+from ..hpx_rt.runtime import RunOptions
 from ..parcelport import PPConfig
 from .. import make_runtime
 
@@ -25,7 +26,8 @@ class OctoTigerBenchParams:
 
 
 def run_octotiger(config: "PPConfig | str", params: OctoTigerBenchParams,
-                  seed: int = 0xC0FFEE) -> Dict[str, float]:
+                  seed: int = 0xC0FFEE,
+                  options: RunOptions = RunOptions()) -> Dict[str, float]:
     """One Octo-Tiger run; returns the Fig 10/11 metric (steps/s) and
     structure counters."""
     from ..apps.octotiger import OctoTigerConfig, OctoTigerDriver
@@ -33,7 +35,8 @@ def run_octotiger(config: "PPConfig | str", params: OctoTigerBenchParams,
         config = PPConfig.parse(config)
     p = params
     rt = make_runtime(config, platform=p.platform,
-                      n_localities=p.n_localities, seed=seed)
+                      n_localities=p.n_localities, seed=seed,
+                      options=options)
     ot_cfg = OctoTigerConfig.for_paper_level(p.paper_level,
                                              n_steps=p.n_steps)
     driver = OctoTigerDriver(rt, ot_cfg)

@@ -1,14 +1,15 @@
 """Parallel sweep engine with content-addressed result caching.
 
 Every figure in EXPERIMENTS.md is a sweep over independent, deterministic
-``(config, workload-params, seed)`` points — embarrassingly parallel work
-the seed repo ran strictly sequentially.  This module provides the three
-pieces that remove that serialization without changing a single simulated
-number:
+``(config, workload-params, seed, options)`` points — embarrassingly
+parallel work the seed repo ran strictly sequentially.  This module
+provides the three pieces that remove that serialization without
+changing a single simulated number:
 
 * :class:`PointTask` — a picklable, canonically-serializable description of
-  one sweep point (workload kind + config label + primitive params + seed),
-  evaluated by the top-level :func:`evaluate_point` so it can cross a
+  one sweep point (config label + the workload's own params dataclass +
+  seed + :class:`~repro.hpx_rt.runtime.RunOptions`), evaluated by the
+  top-level :func:`evaluate_point` so it can cross a
   ``ProcessPoolExecutor`` boundary.
 * :class:`ResultCache` — a content-addressed on-disk cache.  The key is
   ``sha256(code fingerprint ‖ canonical task JSON)`` where the code
@@ -32,19 +33,31 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
-from ..hpx_rt.platform import platform_by_name
+from ..hpx_rt.runtime import RunOptions
+from .fft_bench import FftBenchParams, run_fft
+from .latency import LatencyParams, run_latency
+from .message_rate import MessageRateParams, run_message_rate
+from .octotiger_bench import OctoTigerBenchParams, run_octotiger
+from .serve_bench import ServeBenchParams, run_serve
 
 __all__ = [
     "PointTask", "ResultCache", "ExecutionPolicy",
     "code_fingerprint", "evaluate_point", "run_points",
-    "message_rate_task", "latency_task", "octotiger_task", "fft_task",
-    "serve_task",
     "set_policy", "policy", "execution",
 ]
+
+#: params type -> the ``run_*(config, params, seed=, options=)`` it feeds
+RUNNERS: Dict[type, Callable[..., Any]] = {
+    MessageRateParams: run_message_rate,
+    LatencyParams: run_latency,
+    OctoTigerBenchParams: run_octotiger,
+    FftBenchParams: run_fft,
+    ServeBenchParams: run_serve,
+}
 
 #: environment variable consulted for a default cache directory
 CACHE_ENV = "REPRO_CACHE_DIR"
@@ -86,111 +99,30 @@ def code_fingerprint(refresh: bool = False) -> str:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class PointTask:
-    """One independent sweep point: fully picklable, canonically hashable."""
+    """One independent sweep point: fully picklable, canonically hashable.
 
-    kind: str                    #: "message_rate" | "latency" | "octotiger"
+    ``params`` is the workload's own frozen params dataclass; its type
+    picks the runner (:data:`RUNNERS`).
+    """
+
     config: str                  #: parcelport configuration label
-    params: Dict[str, Any]       #: primitive workload parameters
+    params: Any                  #: e.g. MessageRateParams, ServeBenchParams
     seed: int
+    options: RunOptions = RunOptions()
 
     def canonical(self) -> str:
-        """Canonical JSON (sorted keys, fixed separators) for cache keys."""
-        return json.dumps({"kind": self.kind, "config": self.config,
-                           "params": self.params, "seed": self.seed},
+        """Canonical JSON (sorted keys, fixed separators) for cache keys.
+
+        Params, platform included, serialize by value; options list only
+        what they switch on.
+        """
+        options = {k: v for k, v in asdict(self.options).items()
+                   if v is not None}
+        return json.dumps({"kind": type(self.params).__name__,
+                           "config": self.config,
+                           "params": asdict(self.params),
+                           "seed": self.seed, "options": options},
                           sort_keys=True, separators=(",", ":"))
-
-
-def _platform_name(platform) -> str:
-    """The name a sweep point stores for ``platform``.
-
-    :func:`evaluate_point` maps the name back to the preset, so anything
-    but an unmodified preset would silently run (and be cached) as the
-    preset of the same name; refuse it instead.
-    """
-    try:
-        preset = platform_by_name(platform.name)
-    except KeyError:
-        preset = None
-    if platform != preset:
-        raise ValueError(
-            f"platform {platform.name!r} is not an unmodified preset; "
-            f"sweep points serialize platforms by name")
-    return platform.name
-
-
-def message_rate_task(config: str, *, msg_size: int, batch: int,
-                      total_msgs: int, inject_rate_kps: Optional[float],
-                      platform, seed: int,
-                      adapt: Optional[Dict[str, Any]] = None,
-                      max_events: int = 30_000_000) -> PointTask:
-    params = {"msg_size": msg_size, "batch": batch,
-              "total_msgs": total_msgs,
-              "inject_rate_kps": inject_rate_kps,
-              "platform": _platform_name(platform),
-              "max_events": max_events}
-    if adapt is not None:
-        # Key appears only when adaptation is on, so every pre-existing
-        # cache key (and its cached result) stays valid.
-        params["adapt"] = dict(adapt)
-    return PointTask("message_rate", config, params, seed)
-
-
-def latency_task(config: str, *, msg_size: int, window: int, steps: int,
-                 platform, seed: int,
-                 max_events: int = 20_000_000) -> PointTask:
-    return PointTask("latency", config,
-                     {"msg_size": msg_size, "window": window,
-                      "steps": steps, "platform": _platform_name(platform),
-                      "max_events": max_events}, seed)
-
-
-def octotiger_task(config: str, *, platform, n_localities: int,
-                   paper_level: int, n_steps: int, seed: int,
-                   max_events: int = 60_000_000) -> PointTask:
-    return PointTask("octotiger", config,
-                     {"platform": _platform_name(platform),
-                      "n_localities": n_localities,
-                      "paper_level": paper_level, "n_steps": n_steps,
-                      "max_events": max_events}, seed)
-
-
-def fft_task(config: str, *, n1: int, n2: int, n_localities: int,
-             platform, seed: int, iterations: int = 1,
-             fragment: bool = True, credit_window: int = 0,
-             max_backlog: int = 0,
-             adapt: Optional[Dict[str, Any]] = None,
-             max_events: int = 20_000_000) -> PointTask:
-    params = {"n1": n1, "n2": n2, "n_localities": n_localities,
-              "iterations": iterations, "fragment": fragment,
-              "credit_window": credit_window,
-              "max_backlog": max_backlog,
-              "platform": _platform_name(platform),
-              "max_events": max_events}
-    if adapt is not None:
-        params["adapt"] = dict(adapt)
-    return PointTask("fft", config, params, seed)
-
-
-def serve_task(config: str, *, offered_kps: float, horizon_us: float,
-               n_localities: int, platform, seed: int,
-               arrival: str = "poisson", slo_us: float = 200.0,
-               drain_us: float = 2000.0, n_clients: int = 1_000_000,
-               credit_window: int = 8, max_backlog: int = 16,
-               max_queued_parcels: int = 64,
-               adapt: Optional[Dict[str, Any]] = None,
-               max_events: int = 30_000_000) -> PointTask:
-    params = {"offered_kps": offered_kps, "horizon_us": horizon_us,
-              "n_localities": n_localities, "arrival": arrival,
-              "slo_us": slo_us, "drain_us": drain_us,
-              "n_clients": n_clients,
-              "credit_window": credit_window,
-              "max_backlog": max_backlog,
-              "max_queued_parcels": max_queued_parcels,
-              "platform": _platform_name(platform),
-              "max_events": max_events}
-    if adapt is not None:
-        params["adapt"] = dict(adapt)
-    return PointTask("serve", config, params, seed)
 
 
 def evaluate_point(task: PointTask) -> Dict[str, float]:
@@ -199,67 +131,13 @@ def evaluate_point(task: PointTask) -> Dict[str, float]:
     Top-level (and argument-picklable) so :class:`ProcessPoolExecutor`
     workers can execute it.
     """
-    p = dict(task.params)
-    if "platform" in p:
-        try:
-            p["platform"] = platform_by_name(p["platform"])
-        except KeyError as exc:
-            raise ValueError(exc.args[0]) from None
-
-    def _adapt_spec():
-        if "adapt" not in p:
-            return None
-        from ..adapt import AdaptiveSpec
-        return AdaptiveSpec.from_dict(p["adapt"])
-
-    if task.kind == "message_rate":
-        from .message_rate import MessageRateParams, run_message_rate
-        params = MessageRateParams(
-            msg_size=p["msg_size"], batch=p["batch"],
-            total_msgs=p["total_msgs"],
-            inject_rate_kps=p["inject_rate_kps"],
-            platform=p["platform"],
-            max_events=p["max_events"])
-        return run_message_rate(task.config, params,
-                                seed=task.seed,
-                                adapt=_adapt_spec()).as_dict()
-    if task.kind == "latency":
-        from .latency import LatencyParams, run_latency
-        params = LatencyParams(
-            msg_size=p["msg_size"], window=p["window"], steps=p["steps"],
-            platform=p["platform"], max_events=p["max_events"])
-        return run_latency(task.config, params, seed=task.seed).as_dict()
-    if task.kind == "fft":
-        from .fft_bench import FftBenchParams, run_fft
-        params = FftBenchParams(
-            n1=p["n1"], n2=p["n2"], n_localities=p["n_localities"],
-            iterations=p["iterations"], fragment=p["fragment"],
-            credit_window=p["credit_window"], max_backlog=p["max_backlog"],
-            platform=p["platform"], max_events=p["max_events"])
-        return run_fft(task.config, params, seed=task.seed,
-                       adapt=_adapt_spec()).as_dict()
-    if task.kind == "serve":
-        from .serve_bench import ServeBenchParams, run_serve
-        params = ServeBenchParams(
-            offered_kps=p["offered_kps"], horizon_us=p["horizon_us"],
-            n_localities=p["n_localities"], arrival=p["arrival"],
-            slo_us=p["slo_us"], drain_us=p["drain_us"],
-            n_clients=p["n_clients"],
-            credit_window=p["credit_window"],
-            max_backlog=p["max_backlog"],
-            max_queued_parcels=p["max_queued_parcels"],
-            platform=p["platform"], max_events=p["max_events"])
-        return run_serve(task.config, params, seed=task.seed,
-                         adapt=_adapt_spec()).as_dict()
-    if task.kind == "octotiger":
-        from .octotiger_bench import OctoTigerBenchParams, run_octotiger
-        params = OctoTigerBenchParams(
-            platform=p["platform"],
-            n_localities=p["n_localities"],
-            paper_level=p["paper_level"], n_steps=p["n_steps"],
-            max_events=p["max_events"])
-        return run_octotiger(task.config, params, seed=task.seed)
-    raise ValueError(f"unknown point kind {task.kind!r}")
+    run = RUNNERS.get(type(task.params))
+    if run is None:
+        raise ValueError(
+            f"unknown point kind {type(task.params).__name__!r}")
+    res = run(task.config, task.params, seed=task.seed,
+              options=task.options)
+    return res if isinstance(res, dict) else res.as_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ parcelport config family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict
 
-from ..faults import FaultPlan, RetryPolicy
 from ..flow import OVERFLOW_SHED, FlowControlPolicy
 from ..hpx_rt.platform import EXPANSE, PlatformSpec
+from ..hpx_rt.runtime import RunOptions
 from ..parcelport import PPConfig
 from .. import make_runtime
 
@@ -124,24 +124,22 @@ class ServeBenchResult:
 
 def run_serve(config: "PPConfig | str", params: ServeBenchParams,
               seed: int = 0xC0FFEE,
-              fault_plan: Optional[FaultPlan] = None,
-              retry_policy: Optional[RetryPolicy] = None,
-              trace: "str | bool | None" = None,
-              adapt: Any = None) -> ServeBenchResult:
-    """One full open-loop serving run for one configuration."""
+              options: RunOptions = RunOptions()) -> ServeBenchResult:
+    """One full open-loop serving run for one configuration.
+
+    The shed-mode flow policy and the reliability layer its credits ride
+    on come from ``params``; ``options`` must leave both unset.
+    """
     from ..apps.serve import ServeDriver
     if isinstance(config, str):
         config = PPConfig.parse(config)
     p = params
-    kw: Dict[str, Any] = {}
-    if adapt is not None:
-        kw["adapt"] = adapt
+    options = options.with_flow(
+        p.flow_policy(),
+        "ServeBenchParams.credit_window/max_backlog/max_queued_parcels")
     rt = make_runtime(config, platform=p.platform,
                       n_localities=p.n_localities, seed=seed,
-                      fault_plan=fault_plan, retry_policy=retry_policy,
-                      flow_policy=p.flow_policy(), trace=trace,
-                      # credits ride on the reliability layer's acks
-                      reliable=True, **kw)
+                      options=options)
     driver = ServeDriver(rt, p.serve_config())
     res = driver.run(max_events=p.max_events)
     pct = res.percentiles()
@@ -154,7 +152,7 @@ def run_serve(config: "PPConfig | str", params: ServeBenchParams,
         goodput_kps=res.goodput_kps, achieved_kps=res.achieved_kps,
         offered_kps=res.offered_kps, slo_attainment=res.slo_attainment,
         p50_us=pct["p50_us"], p99_us=pct["p99_us"], p999_us=pct["p999_us"],
-        faults=rt.fault_summary(),
+        faults=rt.reported_faults(),
         obs=rt.obs,
         metrics=rt.metrics() if rt.obs is not None else None,
         adapt=rt.adapt.summary() if rt.adapt is not None else {})

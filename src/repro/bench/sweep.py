@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .harness import Series
+from .seeds import repeat_seeds
 
 __all__ = ["SweepSpec", "SweepResult", "run_sweep"]
 
@@ -115,57 +116,30 @@ class SweepResult:
         return len(self.rows)
 
 
-def _eval_cell(job: "tuple") -> Dict[str, float]:
-    """Top-level trampoline so grid cells can cross a process boundary."""
-    fn, point, seed = job
-    return fn(**point, seed=seed)
-
-
 def run_sweep(fn: Callable[..., Dict[str, float]], spec: SweepSpec,
-              progress: Optional[Callable[[int, int], None]] = None,
-              jobs: Optional[int] = None) -> SweepResult:
-    """Run ``fn(**point, seed=...)`` over the whole grid.
+              progress: Optional[Callable[[int, int], None]] = None
+              ) -> SweepResult:
+    """Run ``fn(**point, seed=...)`` over the whole grid, in grid order.
 
     ``fn`` must return a flat dict of metric name → value.  Each grid
-    point runs ``spec.repeats`` times with distinct seeds.
-
-    With ``jobs > 1`` (default: the active
-    :func:`repro.bench.parallel.policy`), independent grid cells fan out
-    over worker processes — ``fn`` must then be a picklable top-level
-    function.  Rows are collected in grid order either way, so the result
-    is identical to a sequential run.
+    point runs ``spec.repeats`` times with distinct seeds.  Cells run in
+    this process, so ``fn`` may be any callable (a closure included);
+    grids that need fan-out across processes are
+    :class:`~repro.bench.parallel.PointTask` lists for
+    :func:`~repro.bench.parallel.run_points`.
     """
-    from .parallel import policy
-
-    points = spec.points()
     result = SweepResult(axes=list(spec.axes))
-    total = spec.size
-    if jobs is None:
-        jobs = policy().jobs
-    from .seeds import repeat_seeds
-    cells = [(point, seed)
-             for point in points
-             for seed in repeat_seeds(spec.repeats, base=spec.base_seed)]
-
-    def fold(measurements) -> None:
-        for done, ((point, seed), measurement) in enumerate(
-                zip(cells, measurements), start=1):
+    seeds = repeat_seeds(spec.repeats, base=spec.base_seed)
+    for point in spec.points():
+        for seed in seeds:
             row = dict(point)
             row["seed"] = seed
-            for k, v in measurement.items():
+            for k, v in fn(**point, seed=seed).items():
                 if k in row:
                     raise ValueError(
                         f"metric {k!r} collides with an axis")
                 row[k] = v
             result.rows.append(row)
             if progress is not None:
-                progress(done, total)
-
-    if jobs > 1 and len(cells) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as ex:
-            fold(ex.map(_eval_cell, [(fn, p, s) for p, s in cells],
-                        chunksize=max(1, len(cells) // (jobs * 4))))
-    else:
-        fold(fn(**point, seed=seed) for point, seed in cells)
+                progress(len(result.rows), spec.size)
     return result

@@ -11,14 +11,14 @@ from .parcel import HpxMessage, Parcel
 from .parcel_layer import ParcelLayer
 from .platform import (CostModel, EXPANSE, LAPTOP, PlatformSpec, ROSTAM,
                        platform_by_name)
-from .runtime import HpxRuntime, Locality
+from .runtime import HpxRuntime, Locality, RunOptions
 from .scheduler import Scheduler, Worker
 from .serialization import (deserialize_cost, serialize_cost,
                             serialize_parcels, split_args)
 from .task import Task
 
 __all__ = [
-    "HpxRuntime", "Locality", "Worker", "Scheduler", "Task",
+    "HpxRuntime", "Locality", "RunOptions", "Worker", "Scheduler", "Task",
     "Future", "Latch", "Collectives", "REDUCTIONS",
     "Parcel", "HpxMessage", "ParcelLayer",
     "serialize_parcels", "serialize_cost", "deserialize_cost", "split_args",

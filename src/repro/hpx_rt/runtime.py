@@ -11,12 +11,15 @@ per-node runs).  Applications:
 4. drive the simulation with ``runtime.run_until(future)``.
 
 The parcelport for each locality is produced by a user-supplied factory so
-this module stays independent of :mod:`repro.parcelport`.
+this module stays independent of :mod:`repro.parcelport`.  What a run
+switches on beyond its workload (faults, reliability, flow control,
+tracing, adaptation) is one :class:`RunOptions` value.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults import FaultInjector, FaultPlan, RetryPolicy
@@ -34,7 +37,56 @@ from .scheduler import Scheduler, Worker
 from .serialization import deserialize_cost
 from .task import NO_ARG, Task
 
-__all__ = ["HpxRuntime", "Locality"]
+__all__ = ["HpxRuntime", "Locality", "RunOptions", "raise_parcel_failure"]
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """Everything a run can switch on beyond its workload parameters.
+
+    The default switches nothing on, and each unset option keeps its
+    layer out of the data path: the run is byte-identical to one of a
+    build without fault injection, reliability, flow control, tracing
+    or adaptation.
+    """
+
+    #: faults to inject; None or a zero plan builds no injector
+    fault_plan: Optional[FaultPlan] = None
+    #: the reliability layer's retransmission policy (None: defaults)
+    retry_policy: Optional[RetryPolicy] = None
+    #: end-to-end flow control (credits + bounded backlogs)
+    flow_policy: Optional[FlowControlPolicy] = None
+    #: span-recorder spec: a preset, categories, or True (falsy: off)
+    trace: "str | bool | None" = None
+    #: a :class:`repro.adapt.AdaptiveSpec` for the adaptive controller
+    adapt: Any = None
+    #: build the reliability layer; None means "iff faults are injected"
+    reliable: Optional[bool] = None
+
+    def with_flow(self, flow_policy: Optional[FlowControlPolicy],
+                  owner: str) -> "RunOptions":
+        """These options under a workload's own flow policy, with the
+        reliability layer its credits ride on.
+
+        ``owner`` names the params fields that set the policy; a caller
+        who also set ``flow_policy`` or ``reliable`` is refused rather
+        than silently overridden.
+        """
+        if self.flow_policy is not None or self.reliable is not None:
+            raise ValueError(
+                f"{owner} set flow control and reliability: leave "
+                f"options.flow_policy and options.reliable unset")
+        return replace(self, flow_policy=flow_policy,
+                       reliable=None if flow_policy is None else True)
+
+
+def raise_parcel_failure(parcel: Parcel, exc: Exception) -> None:
+    """``on_parcel_failure`` hook of an application that needs every
+    parcel: the run stops at the first failed or shed parcel, with its
+    :class:`~repro.faults.ParcelSendError` or
+    :class:`~repro.flow.ParcelShedError`, instead of spinning until its
+    event budget runs out."""
+    raise exc
 
 
 class Locality:
@@ -132,12 +184,7 @@ class HpxRuntime:
                  immediate: bool = False,
                  cost: Optional[CostModel] = None,
                  seed: int = 0xC0FFEE,
-                 fault_plan: Optional[FaultPlan] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 reliable: Optional[bool] = None,
-                 flow_policy: Optional[FlowControlPolicy] = None,
-                 trace: "str | bool | None" = None,
-                 adapt: "Any | None" = None):
+                 options: RunOptions = RunOptions()):
         if n_localities < 1:
             raise ValueError("need at least one locality")
         if n_localities > platform.max_nodes:
@@ -146,29 +193,31 @@ class HpxRuntime:
                 f"(asked for {n_localities}) — same limit as the paper")
         self.platform = platform
         self.cost = cost if cost is not None else platform.cost
+        self.options = options
         self.sim = Simulator()
         self.rng = RngPool(seed)
         self.fabric = Fabric(self.sim, platform.network)
         # Fault injection: a zero plan (or None) means *no* injector at
         # all — the fault-free fast paths stay byte-identical to a build
         # without the faults layer.
-        self.fault_plan = fault_plan
-        if fault_plan is not None and not fault_plan.is_zero:
+        plan = options.fault_plan
+        if plan is not None and not plan.is_zero:
             self.fault_injector: Optional[FaultInjector] = FaultInjector(
-                self.sim, fault_plan, self.rng.stream("faults"))
+                self.sim, plan, self.rng.stream("faults"))
             self.fabric.injector = self.fault_injector
         else:
             self.fault_injector = None
-        self.retry_policy = (retry_policy if retry_policy is not None
+        self.retry_policy = (options.retry_policy
+                             if options.retry_policy is not None
                              else RetryPolicy())
         #: parcelports build their reliability layer iff this is True;
         #: defaults to "faults are active", overridable for tests that
         #: want the ack protocol without losses (or vice versa)
-        self.reliable = (reliable if reliable is not None
+        self.reliable = (options.reliable if options.reliable is not None
                          else self.fault_injector is not None)
         #: end-to-end flow control (credits + bounded backlogs); None keeps
         #: every flow check compiled out of the data path
-        self.flow_policy = flow_policy
+        self.flow_policy = options.flow_policy
         #: hook(parcel, exc) invoked for every parcel of a message that
         #: exhausted its retries (or was shed under overload) — applications
         #: fail futures here
@@ -186,28 +235,18 @@ class HpxRuntime:
         #: site compiled down to a single ``is not None`` check — a
         #: traced-off run is byte-identical to a build without repro.obs
         self.obs: Optional[SpanRecorder] = (
-            SpanRecorder(self.sim, spec=trace) if trace else None)
+            SpanRecorder(self.sim, spec=options.trace)
+            if options.trace else None)
         self.localities: List[Locality] = [
             Locality(self, lid) for lid in range(n_localities)]
         if self.obs is not None:
             self.fabric.obs = self.obs
             for loc in self.localities:
                 loc.nic.obs = self.obs
-        #: adaptive policies (repro.adapt); None keeps every adaptation
-        #: hook down to a single ``is not None`` check — an adaptive-off
-        #: run is byte-identical to a build without repro.adapt.  Accepts
-        #: an AdaptiveSpec, a spec dict, or True (defaults).
-        if adapt is None or adapt is False:
-            self.adapt_spec = None
-        else:
-            from ..adapt import AdaptiveSpec
-            if adapt is True:
-                self.adapt_spec = AdaptiveSpec()
-            elif isinstance(adapt, dict):
-                self.adapt_spec = AdaptiveSpec.from_dict(adapt)
-            else:
-                self.adapt_spec = adapt
-        #: the AdaptiveController, built at boot() when adapt_spec is set
+        #: the AdaptiveController (repro.adapt), built at boot() when
+        #: ``options.adapt`` is set; None keeps every adaptation hook down
+        #: to a single ``is not None`` check — an adaptive-off run is
+        #: byte-identical to a build without repro.adapt
         self.adapt = None
         self._pp_factory = parcelport_factory
         self._booted = False
@@ -237,9 +276,9 @@ class HpxRuntime:
         # The adaptive controller attaches after parcelports and layers
         # exist but before any starts, so every stack sees the shared
         # state from its first event onward.
-        if self.adapt_spec is not None:
+        if self.options.adapt is not None:
             from ..adapt import AdaptiveController
-            self.adapt = AdaptiveController(self, self.adapt_spec)
+            self.adapt = AdaptiveController(self, self.options.adapt)
         # Parcelports exist on all localities before any starts (so the
         # first message cannot arrive at an unbooted peer).
         for loc in self.localities:
@@ -300,6 +339,17 @@ class HpxRuntime:
             if loc.parcel_layer is not None:
                 total.merge(loc.parcel_layer.stats)
         return total
+
+    def reported_faults(self) -> Dict[str, int]:
+        """The fault counters a run's result reports.
+
+        :meth:`fault_summary` when the run was given a fault plan or a
+        flow policy, else empty: a plain run reports exactly what it
+        reported before those layers existed.
+        """
+        if self.options.fault_plan is None and self.flow_policy is None:
+            return {}
+        return self.fault_summary()
 
     def fault_summary(self) -> Dict[str, int]:
         """Fault-injection counters, merged across all layers.

@@ -12,7 +12,7 @@ Three layers:
 * :mod:`repro.obs.metrics` — counters/gauges/histograms registry that
   absorbs ``fault_summary()`` / ``flow_summary()`` behind one namespace.
 
-Recording is opt-in (``make_runtime(..., trace="parcel")``); a disabled
+Recording is opt-in (``options=RunOptions(trace="parcel")``); a disabled
 recorder leaves the simulation byte-identical to the seed, an enabled
 one adds zero *simulated* time.  The runtime imports only
 :mod:`~repro.obs.spans`; the exporters, the analysis and the metrics

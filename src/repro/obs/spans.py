@@ -17,7 +17,7 @@ stack.  Each record carries:
 Recording is pure bookkeeping: no call here ever yields to the simulator
 or charges CPU, so an *enabled* recorder adds zero **simulated** time,
 and a disabled one (``runtime.obs is None``) leaves every hot path
-byte-identical to the seed — the same contract as ``flow_policy=None``.
+byte-identical to the seed — the same contract as an unset flow policy.
 
 The trace-spec grammar (the CLI's ``--trace=SPEC``) is a comma-separated
 token list: raw category names, the preset ``parcel`` (the full message

@@ -108,7 +108,7 @@ class Parcelport(abc.ABC):
         # threads' worth of polling (see PlatformSpec docs).
         self.poll_rounds = max(1, round(locality.platform.thread_weight))
         # End-to-end reliability: only instantiated when the runtime asks
-        # for it (active fault injector or explicit reliable=True) — a
+        # for it (active fault injector or RunOptions(reliable=True)) — a
         # None layer keeps every hot path byte-identical to the seed.
         self.reliability: Optional[ReliabilityLayer] = None
         runtime = locality.runtime

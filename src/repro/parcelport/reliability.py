@@ -24,7 +24,7 @@ destination actually assembled the HPX message.  Under a
   chain leaks matching-table entries and completion objects).
 
 The layer is only instantiated when the runtime has an active fault
-injector (or is explicitly built with ``reliable=True``); fault-free
+injector (or is built with ``RunOptions(reliable=True)``); fault-free
 runs never see it and stay byte-identical to the unreliable build.
 """
 

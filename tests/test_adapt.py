@@ -2,12 +2,12 @@
 
 Three contracts:
 
-* **Byte-identity when off** — a runtime built without ``adapt=`` must
-  produce exactly the results it produced before the subsystem existed,
-  across fault/flow/trace feature combinations (the committed
+* **Byte-identity when off** — a runtime whose options leave ``adapt``
+  unset must produce exactly the results it produced before the subsystem
+  existed, across fault/flow/trace feature combinations (the committed
   ``results/fig1.txt`` diff in CI is the end-to-end half of this).
 * **Determinism when on** — an adaptive run is a pure function of
-  ``(config, spec, params, seed)``: rerunning it, fanning it across
+  ``(config, params, seed, options)``: rerunning it, fanning it across
   worker processes, or replaying it through a warm cache all yield the
   identical result dict, controller counters included.
 * **The tuner emits a valid artifact** — ``run_tune`` writes a
@@ -21,11 +21,13 @@ from pathlib import Path
 
 import pytest
 
-from repro import FaultPlan, FlowControlPolicy, make_runtime
+from dataclasses import replace
+
+from repro import FaultPlan, FlowControlPolicy, RunOptions, make_runtime
 from repro.adapt import AdaptiveSpec
 from repro.bench.message_rate import MessageRateParams, run_message_rate
-from repro.bench.parallel import (evaluate_point, execution,
-                                  message_rate_task, run_points)
+from repro.bench.parallel import (PointTask, evaluate_point, execution,
+                                  run_points)
 from repro.hpx_rt.platform import EXPANSE
 
 pytestmark = pytest.mark.adapt
@@ -70,29 +72,30 @@ def test_spec_from_dict_rejects_unknown_fields():
 # byte-identity when off
 # ---------------------------------------------------------------------------
 FEATURE_COMBOS = [
-    {},
-    {"fault_plan": FaultPlan.parse("drop=0.05")},
-    {"flow_policy": FlowControlPolicy()},
-    {"trace": "parcel"},
-    {"fault_plan": FaultPlan.parse("drop=0.02,corrupt=0.01"),
-     "flow_policy": FlowControlPolicy()},
+    RunOptions(),
+    RunOptions(fault_plan=FaultPlan.parse("drop=0.05")),
+    RunOptions(flow_policy=FlowControlPolicy()),
+    RunOptions(trace="parcel"),
+    RunOptions(fault_plan=FaultPlan.parse("drop=0.02,corrupt=0.01"),
+               flow_policy=FlowControlPolicy()),
 ]
 
 
 @pytest.mark.parametrize("config", ["lci_psr_cq_pin_i", "lci_psr_cq_pin",
                                     "mpi"])
 def test_adaptive_off_identity(config):
-    """With ``adapt=None`` the result dict is identical to a run that
+    """With ``adapt`` unset the result dict is identical to a run that
     never mentions the subsystem, for every feature combination — and an
     adaptive run in between leaks no state into later plain runs."""
-    for kw in FEATURE_COMBOS:
-        before = run_message_rate(config, P_SMALL, seed=5, **kw).as_dict()
+    for options in FEATURE_COMBOS:
+        before = run_message_rate(config, P_SMALL, seed=5,
+                                  options=options).as_dict()
         assert not any(k.startswith("adapt.") for k in before)
         # An adaptive run on the same config must not perturb anything.
-        run_message_rate(config, P_SMALL, seed=5, adapt=AdaptiveSpec(),
-                         **{k: v for k, v in kw.items() if k != "trace"})
-        after = run_message_rate(config, P_SMALL, seed=5, adapt=None,
-                                 **kw).as_dict()
+        run_message_rate(config, P_SMALL, seed=5, options=replace(
+            options, trace=None, adapt=AdaptiveSpec()))
+        after = run_message_rate(config, P_SMALL, seed=5,
+                                 options=options).as_dict()
         assert after == before
 
 
@@ -113,19 +116,16 @@ def test_adaptive_off_runtime_has_no_controller():
 def test_adaptive_run_deterministic():
     spec = AdaptiveSpec(agg_hold_init=512)
     a = run_message_rate("lci_psr_cq_pin", P_SMALL, seed=9,
-                         adapt=spec).as_dict()
+                         options=RunOptions(adapt=spec)).as_dict()
     b = run_message_rate("lci_psr_cq_pin", P_SMALL, seed=9,
-                         adapt=spec).as_dict()
+                         options=RunOptions(adapt=spec)).as_dict()
     assert a == b
     assert a["adapt.ticks"] > 0
 
 
 def _adapt_tasks():
-    spec = AdaptiveSpec(agg_hold_init=512).as_dict()
-    return [message_rate_task("lci_psr_cq_pin", msg_size=8, batch=10,
-                              total_msgs=200, inject_rate_kps=None,
-                              platform=EXPANSE, seed=s, adapt=spec)
-            for s in (3, 4)]
+    options = RunOptions(adapt=AdaptiveSpec(agg_hold_init=512))
+    return [PointTask("lci_psr_cq_pin", P_SMALL, s, options) for s in (3, 4)]
 
 
 def test_adaptive_jobs_invariance():
@@ -146,15 +146,12 @@ def test_adaptive_warm_cache_invariance(tmp_path):
 
 
 def test_adapt_in_cache_key_only_when_on(tmp_path):
-    """A plain task's cache key must be unchanged by the subsystem (all
-    pre-existing cache entries stay valid), and an adaptive task must
-    never collide with its plain twin."""
-    plain = message_rate_task("lci", msg_size=8, batch=10, total_msgs=200,
-                              inject_rate_kps=None, platform=EXPANSE, seed=1)
-    on = message_rate_task("lci", msg_size=8, batch=10, total_msgs=200,
-                           inject_rate_kps=None, platform=EXPANSE, seed=1,
-                           adapt=AdaptiveSpec().as_dict())
-    assert "adapt" not in plain.params
+    """A plain task's cache key does not mention the subsystem, and an
+    adaptive task never collides with its plain twin."""
+    plain = PointTask("lci", P_SMALL, 1)
+    on = PointTask("lci", P_SMALL, 1, RunOptions(adapt=AdaptiveSpec()))
+    assert "adapt" not in plain.canonical()
+    assert '"adapt":{' in on.canonical()
     assert plain.canonical() != on.canonical()
 
 
@@ -169,7 +166,7 @@ def test_controller_pins_worker_progress_under_contention():
                           inject_rate_kps=None, platform=EXPANSE)
     plain = run_message_rate("lci_psr_cq_mt_i", p, seed=1)
     tuned = run_message_rate("lci_psr_cq_mt_i", p, seed=1,
-                             adapt=AdaptiveSpec())
+                             options=RunOptions(adapt=AdaptiveSpec()))
     assert tuned.adapt["retune.progress_pinned"] >= 1
     assert tuned.adapt["progress_pinned_final"] == 1.0
     assert tuned.message_rate_kps > plain.message_rate_kps * 1.5
@@ -182,14 +179,15 @@ def test_controller_inert_on_best_static_config():
                           inject_rate_kps=None, platform=EXPANSE)
     plain = run_message_rate("lci_psr_cq_pin_i", p, seed=1)
     tuned = run_message_rate("lci_psr_cq_pin_i", p, seed=1,
-                             adapt=AdaptiveSpec())
+                             options=RunOptions(adapt=AdaptiveSpec()))
     assert tuned.adapt["retunes"] == 0.0
     assert tuned.message_rate_kps == plain.message_rate_kps
 
 
 def test_aggregation_hold_engages_and_flushes():
     spec = AdaptiveSpec(agg_hold_init=4096)
-    r = run_message_rate("lci_psr_cq_pin", P_SMALL, seed=2, adapt=spec)
+    r = run_message_rate("lci_psr_cq_pin", P_SMALL, seed=2,
+                         options=RunOptions(adapt=spec))
     assert r.adapt["agg_hold_final"] >= 0
     # Every message still arrives: holds delay pumps, never drop them.
     assert r.message_rate_kps > 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench import (FIGURES, LatencyParams, Measurement,
                          MessageRateParams, OctoTigerBenchParams, Series,
-                         platform_tables, repeat, run_latency,
+                         fold, platform_tables, run_latency,
                          run_message_rate, run_octotiger,
                          table_abbreviations)
 from repro.bench.reporting import (ascii_plot, format_bar_chart,
@@ -15,24 +15,13 @@ from repro.hpx_rt.platform import LAPTOP
 # ---------------------------------------------------------------------------
 # harness
 # ---------------------------------------------------------------------------
-def test_repeat_aggregates_keys():
-    calls = []
-
-    def fn(seed):
-        calls.append(seed)
-        return {"x": float(len(calls)), "y": 2.0}
-
-    out = repeat(fn, n=4)
+def test_fold_aggregates_keys():
+    out = fold({"x": float(i), "y": 2} for i in range(1, 5))
     assert out["x"].n == 4
     assert out["x"].values == [1.0, 2.0, 3.0, 4.0]
+    assert out["y"].values == [2.0] * 4     # values become floats
     assert out["y"].mean == 2.0
     assert out["y"].std == 0.0
-    assert len(set(calls)) == 4     # distinct seeds
-
-
-def test_repeat_requires_positive_n():
-    with pytest.raises(ValueError):
-        repeat(lambda s: {}, n=0)
 
 
 def test_measurement_repr():

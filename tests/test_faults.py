@@ -6,7 +6,7 @@ so CI can smoke the fault paths separately from the tier-1 suite.
 
 import pytest
 
-from repro import FaultPlan, LAPTOP, RetryPolicy, make_runtime
+from repro import FaultPlan, LAPTOP, RetryPolicy, RunOptions, make_runtime
 from repro.faults import (CORRUPT, DELIVER, DROP, FaultInjector, LinkFlap,
                           NicStall)
 from repro.netsim.message import NetMsg
@@ -160,7 +160,8 @@ def test_ack_tag_below_dynamic_range():
 def _run_lossy(config, plan, policy=None, n=40, seed=11, size=8,
                latch_count=None):
     rt = make_runtime(config, platform=LAPTOP, n_localities=2, seed=seed,
-                      fault_plan=plan, retry_policy=policy)
+                      options=RunOptions(fault_plan=plan,
+                                         retry_policy=policy))
     got, failed = [], []
     done = rt.new_latch(latch_count if latch_count is not None else n)
 
@@ -260,7 +261,7 @@ def test_flap_window_recovers_after_window():
 # ---------------------------------------------------------------------------
 def test_zero_plan_builds_no_injector():
     rt = make_runtime("lci_psr_cq_pin_i", platform=LAPTOP, n_localities=2,
-                      fault_plan=FaultPlan())
+                      options=RunOptions(fault_plan=FaultPlan()))
     assert rt.fault_injector is None
     assert rt.fabric.injector is None
     assert rt.reliable is False
@@ -268,30 +269,21 @@ def test_zero_plan_builds_no_injector():
     assert rt.locality(0).parcelport.reliability is None
     assert rt.fault_summary() == {}
 
-
-@pytest.mark.parametrize("config", ["lci_psr_cq_pin_i", "mpi_i"])
-def test_zero_plan_run_identical_to_no_plan(config):
-    def run(plan):
+    # a parcel stream under the zero plan runs exactly as under no plan
+    # (a benchmark point's results: tests/test_run_options.py)
+    def run(config, plan):
         rt, got, failed = _run_lossy(config, plan, n=20, seed=5)
         assert failed == []
         return rt.sim.now, tuple(got)
 
-    assert run(None) == run(FaultPlan())
-
-    # a parsed all-zero spec leaves a fig1 point's results alone too
-    from repro.bench.message_rate import MessageRateParams, run_message_rate
-    params = MessageRateParams(msg_size=8, batch=100, total_msgs=4000,
-                               inject_rate_kps=400.0)
-    base = run_message_rate(config, params, seed=1000)
-    zero = run_message_rate(config, params, seed=1000,
-                            fault_plan=FaultPlan.parse("drop=0,corrupt=0"))
-    assert zero.as_dict() == base.as_dict()
+    for config in ("lci_psr_cq_pin_i", "mpi_i"):
+        assert run(config, None) == run(config, FaultPlan())
 
 
 def test_reliable_flag_without_faults_still_delivers():
     # The ack protocol alone (no losses) must not break anything.
     rt = make_runtime("mpi_i", platform=LAPTOP, n_localities=2,
-                      reliable=True)
+                      options=RunOptions(reliable=True))
     got = []
     done = rt.new_latch(15)
 

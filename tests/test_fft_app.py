@@ -20,8 +20,8 @@ import random
 
 import pytest
 
-from repro import (FaultPlan, FlowControlPolicy, LAPTOP, RetryPolicy,
-                   make_runtime)
+from repro import (FaultPlan, FlowControlPolicy, LAPTOP, ParcelSendError,
+                   RetryPolicy, RunOptions, make_runtime)
 from repro.apps.fft import (COMPLEX_BYTES, FftConfig, FftDriver, fft,
                             is_pow2, naive_dft, twiddle)
 from repro.bench.fft_bench import FftBenchParams, run_fft
@@ -340,9 +340,10 @@ def test_fft_flow_and_fault_summaries_are_replay_identical():
     def once():
         rt = make_runtime("lci_psr_cq_pin_i", platform=LAPTOP,
                           n_localities=4, seed=77,
-                          flow_policy=FlowControlPolicy(credit_window=4,
-                                                        max_backlog=8),
-                          reliable=True)
+                          options=RunOptions(
+                              flow_policy=FlowControlPolicy(
+                                  credit_window=4, max_backlog=8),
+                              reliable=True))
         driver = FftDriver(rt, FftConfig(n1=32, n2=32))
         driver.run(max_events=20_000_000)
         rt.run_until(rt.sim.now + 30000.0, max_events=1_000_000)
@@ -354,12 +355,12 @@ def test_fft_flow_and_fault_summaries_are_replay_identical():
 
 
 def test_fft_figure_points_invariant_under_jobs_and_cache(tmp_path):
-    from repro.bench.parallel import ResultCache, fft_task, run_points
+    from repro.bench.fft_bench import FftBenchParams
+    from repro.bench.parallel import PointTask, ResultCache, run_points
 
-    tasks = [fft_task(config, n1=16, n2=16, n_localities=4,
-                      platform=LAPTOP, seed=55, credit_window=4,
-                      max_backlog=8)
-             for config in CONFIGS]
+    params = FftBenchParams(n1=16, n2=16, n_localities=4, platform=LAPTOP,
+                            credit_window=4, max_backlog=8)
+    tasks = [PointTask(config, params, 55) for config in CONFIGS]
     seq = run_points(tasks, jobs=1, no_cache=True)
     par = run_points(tasks, jobs=2, no_cache=True)
     assert seq == par
@@ -379,12 +380,13 @@ ADVERSITY = "drop=0.05,slow=50:800@1*2.5,squeeze=0:500@0*8"
 
 def _run_fft_adverse(config, plan, n=16, n_loc=4, seed=909):
     rt = make_runtime(config, platform=LAPTOP, n_localities=n_loc,
-                      seed=seed, fault_plan=FaultPlan.parse(plan),
-                      retry_policy=RetryPolicy(timeout_us=150.0,
-                                               max_retries=30),
-                      flow_policy=FlowControlPolicy(credit_window=4,
-                                                    max_backlog=8),
-                      reliable=True)
+                      seed=seed, options=RunOptions(
+                          fault_plan=FaultPlan.parse(plan),
+                          retry_policy=RetryPolicy(timeout_us=150.0,
+                                                   max_retries=30),
+                          flow_policy=FlowControlPolicy(credit_window=4,
+                                                        max_backlog=8),
+                          reliable=True))
     driver = FftDriver(rt, FftConfig(n1=n, n2=n))
     res = driver.run(max_events=30_000_000)
     # let retransmit acks / credit returns drain fully
@@ -409,6 +411,17 @@ def test_incast_completes_exactly_once_under_adversity(config):
             assert left == rel.credit_window, (loc.lid, peer, left)
     assert summary.get("credits_consumed") == \
         summary.get("credits_replenished")
+
+
+def test_failed_parcel_ends_the_run():
+    """A transpose parcel that runs out of retries ends the run with its
+    ParcelSendError instead of leaving it to spin to ``max_events``."""
+    params = FftBenchParams(n1=16, n2=16, n_localities=4,
+                            max_events=2_000_000)
+    options = RunOptions(fault_plan=FaultPlan(drop_prob=0.6),
+                         retry_policy=RetryPolicy(max_retries=1))
+    with pytest.raises(ParcelSendError, match="failed after 1 retrans"):
+        run_fft("mpi_i", params, seed=7, options=options)
 
 
 def test_high_offered_load_incast_engages_flow_control():

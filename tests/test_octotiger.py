@@ -268,3 +268,17 @@ def test_regrid_steps_slower_than_static_steps():
             max_events=30_000_000).total_time_us
 
     assert total(regrid=1) > total(regrid=0)
+
+
+def test_failed_parcel_ends_the_run():
+    """A parcel that runs out of retries ends the run with its
+    ParcelSendError instead of leaving it to spin to ``max_events``."""
+    from repro import FaultPlan, ParcelSendError, RetryPolicy, RunOptions
+    from repro.bench import OctoTigerBenchParams, run_octotiger
+
+    params = OctoTigerBenchParams(paper_level=4, n_steps=1, n_localities=4,
+                                  max_events=2_000_000)
+    options = RunOptions(fault_plan=FaultPlan(drop_prob=0.6),
+                         retry_policy=RetryPolicy(max_retries=1))
+    with pytest.raises(ParcelSendError, match="failed after 1 retrans"):
+        run_octotiger("mpi_i", params, seed=7, options=options)

@@ -6,27 +6,31 @@ The contracts under test:
   to a sequential run (every point is an independent deterministic
   simulation keyed by its own seed).
 * The content-addressed cache: a hit skips the simulation entirely, a
-  changed parameter / seed / code fingerprint misses, ``no_cache=True``
-  bypasses a populated cache.
-* ``run_sweep(jobs=N)`` produces the same rows as sequential.
+  changed parameter / seed / option / code fingerprint misses,
+  ``no_cache=True`` bypasses a populated cache.
+* ``run_sweep`` runs its cells in process, whatever the policy.
 """
+
+import dataclasses
 
 import pytest
 
 import repro.bench.parallel as parallel
+from repro import FaultPlan, FlowControlPolicy, RunOptions
+from repro.bench.latency import LatencyParams, run_latency
+from repro.bench.message_rate import MessageRateParams, run_message_rate
 from repro.bench.parallel import (ExecutionPolicy, PointTask, ResultCache,
                                   code_fingerprint, evaluate_point,
-                                  execution, latency_task,
-                                  message_rate_task, octotiger_task,
-                                  run_points, set_policy)
+                                  execution, run_points, set_policy)
 from repro.bench.sweep import SweepSpec, run_sweep
 from repro.hpx_rt.platform import EXPANSE, ROSTAM
 
 
 def small_tasks(n_seeds=2, total=300):
-    return [message_rate_task(cfg, msg_size=8, batch=50, total_msgs=total,
-                              inject_rate_kps=rate, platform=EXPANSE,
-                              seed=1000 + i * 7919)
+    return [PointTask(cfg, MessageRateParams(msg_size=8, batch=50,
+                                             total_msgs=total,
+                                             inject_rate_kps=rate),
+                      1000 + i * 7919)
             for cfg in ("mpi_i", "lci_psr_cq_pin_i")
             for rate in (100.0, None)
             for i in range(n_seeds)]
@@ -36,50 +40,58 @@ def small_tasks(n_seeds=2, total=300):
 # task descriptors
 # ---------------------------------------------------------------------------
 def test_point_task_canonical_is_stable_and_sorted():
-    t = message_rate_task("mpi_i", msg_size=8, batch=50, total_msgs=100,
-                          inject_rate_kps=None, platform=EXPANSE, seed=3)
+    t = PointTask("mpi_i", MessageRateParams(msg_size=8, batch=50,
+                                             total_msgs=100), 3)
     c = t.canonical()
     assert c == t.canonical()
     assert c.index('"config"') < c.index('"kind"') < c.index('"params"')
-    assert '"platform":"expanse"' in c
+    assert '"kind":"MessageRateParams"' in c
+    assert '"name":"expanse"' in c
+    assert '"options":{}' in c
 
 
-def test_task_builders_serialize_platform_by_name():
-    t1 = latency_task("mpi_i", msg_size=8, window=4, steps=5,
-                      platform=ROSTAM, seed=1)
-    t2 = octotiger_task("mpi_i", platform=EXPANSE, n_localities=2,
-                        paper_level=4, n_steps=1, seed=1)
-    assert t1.params["platform"] == "rostam"
-    assert t2.params["platform"] == "expanse"
+def test_point_task_serializes_platform_by_value():
+    """A modified preset keys, and runs, as itself: the canonical JSON
+    holds the platform's fields, not its name."""
+    params = LatencyParams(msg_size=8, window=4, steps=5)
+    fast = params.with_(platform=ROSTAM.with_(
+        network=ROSTAM.network.with_(wire_latency_us=0.5)))
+    t = PointTask("mpi_i", params.with_(platform=ROSTAM), 1)
+    t_fast = PointTask("mpi_i", fast, 1)
+    assert '"name":"rostam"' in t.canonical()
+    assert t.canonical() != t_fast.canonical()
+    assert evaluate_point(t_fast) == run_latency("mpi_i", fast,
+                                                 seed=1).as_dict()
+    assert evaluate_point(t_fast) != evaluate_point(t)
 
 
 def test_evaluate_point_matches_direct_run():
-    from repro.bench.message_rate import MessageRateParams, run_message_rate
-    task = message_rate_task("mpi_i", msg_size=8, batch=50, total_msgs=300,
-                             inject_rate_kps=None, platform=EXPANSE, seed=5)
-    direct = run_message_rate(
-        "mpi_i", MessageRateParams(msg_size=8, batch=50, total_msgs=300,
-                                   inject_rate_kps=None, platform=EXPANSE),
-        seed=5).as_dict()
-    assert evaluate_point(task) == direct
+    params = MessageRateParams(msg_size=8, batch=50, total_msgs=300,
+                               inject_rate_kps=None, platform=EXPANSE)
+    direct = run_message_rate("mpi_i", params, seed=5).as_dict()
+    assert evaluate_point(PointTask("mpi_i", params, 5)) == direct
 
 
-def test_evaluate_point_rejects_unknown_kind_and_platform():
-    with pytest.raises(ValueError, match="unknown point kind"):
-        evaluate_point(PointTask("nope", "mpi_i", {}, 0))
-    bad = message_rate_task("mpi_i", msg_size=8, batch=50, total_msgs=10,
-                            inject_rate_kps=None, platform=EXPANSE, seed=0)
-    broken = PointTask("message_rate", "mpi_i",
-                       {**bad.params, "platform": "cray"}, 0)
-    with pytest.raises(ValueError, match="unknown platform"):
-        evaluate_point(broken)
-    # A modified preset would serialize as, and silently run as, the
-    # unmodified preset of the same name.
-    with pytest.raises(ValueError, match="not an unmodified preset"):
-        message_rate_task("mpi_i", msg_size=8, batch=50, total_msgs=500,
-                          inject_rate_kps=None,
-                          platform=EXPANSE.with_(sim_cores_per_node=2),
-                          seed=1)
+def test_evaluate_point_rejects_unknown_params_type():
+    with pytest.raises(ValueError, match="unknown point kind 'dict'"):
+        evaluate_point(PointTask("mpi_i", {}, 0))
+
+
+def test_options_cross_the_process_boundary():
+    """A fault plan and a flow policy ride in the point to the worker
+    processes and into its cache key."""
+    params = MessageRateParams(msg_size=8, batch=50, total_msgs=300)
+    options = RunOptions(fault_plan=FaultPlan.parse("drop=0.05"),
+                         flow_policy=FlowControlPolicy(credit_window=4))
+    tasks = [PointTask(cfg, params, seed, options)
+             for cfg in ("mpi_i", "lci_psr_cq_pin_i") for seed in (1, 2)]
+    seq = run_points(tasks, jobs=1, no_cache=True)
+    assert run_points(tasks, jobs=2, no_cache=True) == seq
+    assert all(r["fault.retransmits"] > 0 for r in seq)
+    assert seq[0] == run_message_rate("mpi_i", params, seed=1,
+                                      options=options).as_dict()
+    plain = dataclasses.replace(tasks[0], options=RunOptions())
+    assert plain.canonical() != tasks[0].canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -93,22 +105,19 @@ def test_jobs2_results_element_wise_identical_to_sequential():
     assert seq == par
 
 
-def test_run_sweep_jobs2_rows_identical_to_sequential():
-    spec = SweepSpec(axes={"config": ["mpi_i", "lci_psr_cq_pin_i"],
-                           "total_msgs": [200, 400]}, repeats=2)
-    seq = run_sweep(_sweep_fn, spec, jobs=1)
-    par = run_sweep(_sweep_fn, spec, jobs=2)
-    assert seq.rows == par.rows
-    assert len(seq.rows) == spec.size
-    assert [r["seed"] for r in seq.rows[:2]] == [1000, 8919]
+def test_run_sweep_runs_a_closure_under_a_parallel_policy():
+    """``run_sweep`` once took its width from the process-wide policy and
+    pickled ``fn`` to worker processes: a closure, as
+    examples/design_space_sweep.py passes, failed under ``--jobs 2``."""
+    scale = 3.0
 
+    def fn(x, seed):
+        return {"y": x * scale}
 
-def _sweep_fn(config, total_msgs, seed):
-    # top-level so ProcessPoolExecutor workers can unpickle it
-    from repro.bench.message_rate import MessageRateParams, run_message_rate
-    params = MessageRateParams(msg_size=8, batch=50, total_msgs=total_msgs,
-                               inject_rate_kps=None, platform=EXPANSE)
-    return run_message_rate(config, params, seed=seed).as_dict()
+    with execution(jobs=2):
+        result = run_sweep(fn, SweepSpec(axes={"x": [1, 2]}, repeats=2))
+    assert [r["y"] for r in result.rows] == [3.0, 3.0, 6.0, 6.0]
+    assert [r["seed"] for r in result.rows[:2]] == [1000, 8919]
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +144,14 @@ def test_changed_param_and_seed_miss(tmp_path):
     base = small_tasks(n_seeds=1)[0]
     cache.put(base, {"x": 1.0})
     assert cache.get(base) == {"x": 1.0}
-    other_seed = PointTask(base.kind, base.config, base.params,
-                           base.seed + 1)
-    other_param = PointTask(base.kind, base.config,
-                            {**base.params, "total_msgs": 999}, base.seed)
+    other_seed = dataclasses.replace(base, seed=base.seed + 1)
+    other_param = dataclasses.replace(
+        base, params=base.params.with_(total_msgs=999))
+    other_options = dataclasses.replace(
+        base, options=RunOptions(trace="parcel"))
     assert cache.get(other_seed) is None
     assert cache.get(other_param) is None
+    assert cache.get(other_options) is None
 
 
 def test_changed_code_fingerprint_misses(tmp_path, monkeypatch):
@@ -190,8 +201,8 @@ def test_cache_misses_after_nested_module_edit(tmp_path, monkeypatch):
 
     import repro
 
-    task = message_rate_task("mpi", msg_size=8, batch=8, total_msgs=16,
-                             inject_rate_kps=None, platform=EXPANSE, seed=1)
+    task = PointTask("mpi", MessageRateParams(msg_size=8, batch=8,
+                                              total_msgs=16), 1)
     cache = ResultCache(tmp_path / "cache")
     try:
         key_before = cache.key(task)
@@ -248,7 +259,7 @@ def test_repeat_seed_ladder_pinned():
 
 def test_sweep_cells_use_the_ladder():
     spec = SweepSpec(axes={"x": [1, 2]}, repeats=2, base_seed=500)
-    result = run_sweep(lambda x, seed: {"y": float(seed)}, spec, jobs=1)
+    result = run_sweep(lambda x, seed: {"y": float(seed)}, spec)
     assert [row["seed"] for row in result.rows] == \
         [500 + rep * 7919 for _ in (1, 2) for rep in range(2)]
 

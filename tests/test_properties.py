@@ -211,14 +211,16 @@ def test_every_parcel_delivered_exactly_once(config, payload_sizes):
 def test_faulty_runs_are_deterministic(config, seed):
     """Replaying a lossy run with the same seed reproduces it exactly:
     same final time, same delivery order, same fault counters."""
-    from repro import FaultPlan, LAPTOP, RetryPolicy, make_runtime
+    from repro import (FaultPlan, LAPTOP, RetryPolicy, RunOptions,
+                       make_runtime)
 
     plan = FaultPlan(drop_prob=0.1, corrupt_prob=0.02)
     pol = RetryPolicy(timeout_us=300.0, max_retries=3)
 
     def run_once():
         rt = make_runtime(config, platform=LAPTOP, n_localities=2,
-                          seed=seed, fault_plan=plan, retry_policy=pol)
+                          seed=seed, options=RunOptions(fault_plan=plan,
+                                                        retry_policy=pol))
         got, failed = [], []
         done = rt.new_latch(12)
         rt.on_parcel_failure = lambda p, exc: (failed.append(p.args[0]),

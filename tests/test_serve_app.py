@@ -19,7 +19,7 @@ Five contracts, mirroring docs/SERVING.md:
 import numpy as np
 import pytest
 
-from repro import FlowControlPolicy, make_runtime
+from repro import FlowControlPolicy, RunOptions, make_runtime
 from repro.apps.serve import (ServeConfig, ServeDriver, bounded_pareto,
                               bounded_pareto_mean, bursty_arrival_times,
                               poisson_arrival_times)
@@ -282,10 +282,12 @@ def test_bursty_arrival_end_to_end_run():
 
 def test_serve_stats_flow_into_metrics_registry():
     rt = make_runtime("lci_psr_cq_pin_i", n_localities=3, seed=5,
-                      flow_policy=FlowControlPolicy(
-                          credit_window=8, max_backlog=16,
-                          max_queued_parcels=64, overflow=OVERFLOW_SHED),
-                      reliable=True)
+                      options=RunOptions(
+                          flow_policy=FlowControlPolicy(
+                              credit_window=8, max_backlog=16,
+                              max_queued_parcels=64,
+                              overflow=OVERFLOW_SHED),
+                          reliable=True))
     driver = ServeDriver(rt, ServeConfig(offered_kps=50.0,
                                          horizon_us=1000.0))
     res = driver.run(max_events=5_000_000)
@@ -335,7 +337,8 @@ def test_overload_accounting_is_rerun_deterministic():
 
 def test_traced_run_reports_identical_metrics():
     plain = run_serve("mpi_i", OVERLOAD, seed=1000)
-    traced = run_serve("mpi_i", OVERLOAD, seed=1000, trace="parcel")
+    traced = run_serve("mpi_i", OVERLOAD, seed=1000,
+                       options=RunOptions(trace="parcel"))
     assert plain.as_dict() == traced.as_dict()
     assert traced.obs is not None and len(traced.obs) > 0
 
@@ -350,13 +353,11 @@ def test_different_seeds_give_different_schedules():
 # sweep integration: --jobs and warm-cache invariance
 # ---------------------------------------------------------------------------
 def _overload_tasks():
-    from repro.bench.parallel import serve_task
+    from repro.bench.parallel import PointTask
 
-    from repro.hpx_rt.platform import EXPANSE
-
-    return [serve_task(cfg, offered_kps=kps, horizon_us=1000.0,
-                       n_localities=4, platform=EXPANSE, seed=seed,
-                       drain_us=1000.0)
+    return [PointTask(cfg, ServeBenchParams(offered_kps=kps,
+                                            horizon_us=1000.0,
+                                            drain_us=1000.0), seed)
             for cfg in ("lci_psr_cq_pin_i", "mpi_i")
             for kps in (100.0, 1600.0)
             for seed in repeat_seeds(1)]

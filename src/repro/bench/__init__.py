@@ -28,7 +28,6 @@ _SUBMODULES = {
                  "run_points", "set_policy"),
     "profiling": ("format_breakdown", "lock_report", "runtime_breakdown"),
     "sweep": ("SweepResult", "SweepSpec", "run_sweep"),
-    "calibration": ("check_calibration", "format_calibration"),
     "validation": ("CheckResult", "checks_for", "validate"),
 }
 _HOME = {name: module for module, names in _SUBMODULES.items()

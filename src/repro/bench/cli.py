@@ -84,6 +84,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if args.repeats is not None and args.repeats < 1:
+        parser.error("--repeats must be >= 1")
     from .parallel import policy, set_policy
     set_policy(jobs=args.jobs, cache_dir=args.cache,
                no_cache=args.no_cache)

@@ -2,8 +2,8 @@
 
 Each ``figN()`` runs the corresponding experiment (scaled down by default —
 pass ``quick=False`` for the fuller sweep), prints the paper-style series
-and returns a :class:`FigureResult` whose series the benchmark suite
-asserts shape targets against (see DESIGN.md §3).
+and returns a :class:`FigureResult` whose series the claims of
+:mod:`repro.bench.validation` are checked against (see DESIGN.md §3).
 
 Workload scaling vs the paper (documented per DESIGN.md): message totals
 are 10–50× smaller than the paper's 500 K/100 K, repeat counts default to
@@ -146,11 +146,10 @@ _RATES_16K_FULL = [10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0, None]
 _RATES_16K_QUICK = [10.0, 40.0, 160.0, None]
 
 
-def fig1(quick: bool = True, repeats: Optional[int] = None,
-         total: Optional[int] = None) -> FigureResult:
+def fig1(quick: bool = True, repeats: Optional[int] = None) -> FigureResult:
     """Fig 1: 8 B message rate vs injection rate — MPI vs LCI ± immediate."""
     repeats = repeats or (1 if quick else 3)
-    total = total or (4000 if quick else 20000)
+    total = 4000 if quick else 20000
     rates = _RATES_8B_QUICK if quick else _RATES_8B_FULL
     series = _rate_sweep(MPI_VS_LCI, 8, 100, total, rates, EXPANSE, repeats)
     return FigureResult("fig1", "Achieved message rate (8B), MPI vs LCI",
@@ -158,11 +157,10 @@ def fig1(quick: bool = True, repeats: Optional[int] = None,
                         meta={"total": total, "repeats": repeats})
 
 
-def fig2(quick: bool = True, repeats: Optional[int] = None,
-         total: Optional[int] = None) -> FigureResult:
+def fig2(quick: bool = True, repeats: Optional[int] = None) -> FigureResult:
     """Fig 2: 8 B message rate vs injection — the 8 LCI ``_i`` variants."""
     repeats = repeats or (1 if quick else 3)
-    total = total or (4000 if quick else 20000)
+    total = 4000 if quick else 20000
     rates = _RATES_8B_QUICK if quick else _RATES_8B_FULL
     series = _rate_sweep(ALL_LCI_VARIANTS, 8, 100, total, rates, EXPANSE,
                          repeats)
@@ -189,20 +187,18 @@ def _peak_rates(configs: Sequence[str], size: int, batch: int, total: int,
     return res
 
 
-def fig3(quick: bool = True, repeats: Optional[int] = None,
-         total: Optional[int] = None) -> FigureResult:
+def fig3(quick: bool = True, repeats: Optional[int] = None) -> FigureResult:
     """Fig 3: highest achieved 8 B message rate across all 11 configs."""
     repeats = repeats or (1 if quick else 3)
-    total = total or (4000 if quick else 20000)
+    total = 4000 if quick else 20000
     rates = [400.0, None] if quick else _RATES_8B_FULL
     return _peak_rates(ALL_CONFIGS, 8, 100, total, rates, repeats)
 
 
-def fig4(quick: bool = True, repeats: Optional[int] = None,
-         total: Optional[int] = None) -> FigureResult:
+def fig4(quick: bool = True, repeats: Optional[int] = None) -> FigureResult:
     """Fig 4: 16 KiB message rate vs injection — MPI vs LCI ± immediate."""
     repeats = repeats or (1 if quick else 3)
-    total = total or (1000 if quick else 5000)
+    total = 1000 if quick else 5000
     rates = _RATES_16K_QUICK if quick else _RATES_16K_FULL
     series = _rate_sweep(MPI_VS_LCI, 16384, 10, total, rates, EXPANSE,
                          repeats)
@@ -211,11 +207,10 @@ def fig4(quick: bool = True, repeats: Optional[int] = None,
                         meta={"total": total, "repeats": repeats})
 
 
-def fig5(quick: bool = True, repeats: Optional[int] = None,
-         total: Optional[int] = None) -> FigureResult:
+def fig5(quick: bool = True, repeats: Optional[int] = None) -> FigureResult:
     """Fig 5: 16 KiB message rate vs injection — LCI variants."""
     repeats = repeats or (1 if quick else 3)
-    total = total or (1000 if quick else 5000)
+    total = 1000 if quick else 5000
     rates = _RATES_16K_QUICK if quick else _RATES_16K_FULL
     series = _rate_sweep(ALL_LCI_VARIANTS, 16384, 10, total, rates, EXPANSE,
                          repeats)
@@ -224,11 +219,10 @@ def fig5(quick: bool = True, repeats: Optional[int] = None,
                         meta={"total": total, "repeats": repeats})
 
 
-def fig6(quick: bool = True, repeats: Optional[int] = None,
-         total: Optional[int] = None) -> FigureResult:
+def fig6(quick: bool = True, repeats: Optional[int] = None) -> FigureResult:
     """Fig 6: highest achieved 16 KiB message rate across all configs."""
     repeats = repeats or (1 if quick else 3)
-    total = total or (1000 if quick else 5000)
+    total = 1000 if quick else 5000
     rates = [40.0, None] if quick else _RATES_16K_FULL
     return _peak_rates(ALL_CONFIGS, 16384, 10, total, rates, repeats)
 
@@ -240,11 +234,10 @@ _SIZES_FULL = [8, 64, 512, 1024, 4096, 16384, 65536]
 _SIZES_QUICK = [8, 512, 4096, 16384, 65536]
 
 
-def fig7(quick: bool = True, repeats: Optional[int] = None,
-         steps: Optional[int] = None) -> FigureResult:
+def fig7(quick: bool = True, repeats: Optional[int] = None) -> FigureResult:
     """Fig 7: single-message ping-pong latency vs message size."""
     repeats = repeats or (1 if quick else 3)
-    steps = steps or (20 if quick else 50)
+    steps = 20 if quick else 50
     sizes = _SIZES_QUICK if quick else _SIZES_FULL
     seeds = _seeds(repeats)
     tasks = [PointTask(cfg, LatencyParams(msg_size=size, window=1,
@@ -265,10 +258,9 @@ def fig7(quick: bool = True, repeats: Optional[int] = None,
 
 
 def _latency_window_sweep(fig: str, size: int, quick: bool,
-                          repeats: Optional[int],
-                          steps: Optional[int]) -> FigureResult:
+                          repeats: Optional[int]) -> FigureResult:
     repeats = repeats or (1 if quick else 3)
-    steps = steps or (15 if quick else 40)
+    steps = 15 if quick else 40
     windows = [1, 4, 16, 64] if quick else [1, 2, 4, 8, 16, 32, 64]
     seeds = _seeds(repeats)
     tasks = [PointTask(cfg, LatencyParams(msg_size=size, window=w,
@@ -288,16 +280,14 @@ def _latency_window_sweep(fig: str, size: int, quick: bool,
                         meta={"steps": steps, "repeats": repeats})
 
 
-def fig8(quick: bool = True, repeats: Optional[int] = None,
-         steps: Optional[int] = None) -> FigureResult:
+def fig8(quick: bool = True, repeats: Optional[int] = None) -> FigureResult:
     """Fig 8: 8 B latency vs window size (1-64)."""
-    return _latency_window_sweep("fig8", 8, quick, repeats, steps)
+    return _latency_window_sweep("fig8", 8, quick, repeats)
 
 
-def fig9(quick: bool = True, repeats: Optional[int] = None,
-         steps: Optional[int] = None) -> FigureResult:
+def fig9(quick: bool = True, repeats: Optional[int] = None) -> FigureResult:
     """Fig 9: 16 KiB latency vs window size (1-64)."""
-    return _latency_window_sweep("fig9", 16384, quick, repeats, steps)
+    return _latency_window_sweep("fig9", 16384, quick, repeats)
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +323,18 @@ def _octotiger_scaling(fig: str, platform: PlatformSpec, paper_level: int,
                         meta={"paper_level": paper_level})
 
 
-def fig10(quick: bool = True, repeats: Optional[int] = None,
-          node_counts: Optional[Sequence[int]] = None) -> FigureResult:
+def fig10(quick: bool = True, repeats: Optional[int] = None) -> FigureResult:
     """Fig 10: Octo-Tiger steps/s on SDSC Expanse, 2-32 nodes."""
     repeats = repeats or (1 if quick else 3)
-    nodes = node_counts or ([2, 8, 32] if quick else [2, 4, 8, 16, 32])
+    nodes = [2, 8, 32] if quick else [2, 4, 8, 16, 32]
     return _octotiger_scaling("fig10", EXPANSE, 6, nodes, repeats,
                               n_steps=1 if quick else 5)
 
 
-def fig11(quick: bool = True, repeats: Optional[int] = None,
-          node_counts: Optional[Sequence[int]] = None) -> FigureResult:
+def fig11(quick: bool = True, repeats: Optional[int] = None) -> FigureResult:
     """Fig 11: Octo-Tiger steps/s on Rostam, 2-16 nodes."""
     repeats = repeats or (1 if quick else 3)
-    nodes = node_counts or ([2, 8, 16] if quick else [2, 4, 8, 16])
+    nodes = [2, 8, 16] if quick else [2, 4, 8, 16]
     return _octotiger_scaling("fig11", ROSTAM, 5, nodes, repeats,
                               n_steps=1 if quick else 5)
 

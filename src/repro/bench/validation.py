@@ -1,28 +1,35 @@
-"""Executable shape targets: does a regenerated figure match the paper?
+"""The paper's claims as one table: does a regenerated figure hold them?
 
-EXPERIMENTS.md states, per figure, which orderings and directions must
-hold; this module encodes them as data so they can be evaluated anywhere
-(`repro-fig fig4 --validate`, notebooks, CI) rather than hand-coded in
-each benchmark.
+EXPERIMENTS.md states, per figure, which orderings, directions and rough
+factors must hold.  :data:`CHECKS` encodes each as one named row over
+the figure's :class:`~repro.bench.figures.FigureResult`, so one list is
+evaluated wherever a figure is regenerated: ``repro-fig <name>
+--validate`` prints a ``[PASS]``/``[FAIL]`` line per row, the
+``results/*.txt`` files hold those lines, and ``benchmarks/`` fails on
+any ``[FAIL]``.  Bounds are shapes, not exact values; the bands named
+after a quantity (``lci_peak_8b``, ``small_latency_band``, ...) are the
+anchors the cost constants were calibrated against (DESIGN.md §4).
 
-A check is a named predicate over a :class:`~repro.bench.figures.
-FigureResult`; :func:`validate` returns structured outcomes, never
-raising — reporting belongs to the caller.
+:func:`validate` returns structured outcomes and never raises; reporting
+belongs to the caller.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from .figures import SERVE_CONFIGS, FigureResult
+from ..faults import FaultPlan
+from .figures import OVERLOAD_SPEC, SERVE_CONFIGS, FigureResult
+from .harness import Series
 
-__all__ = ["CheckResult", "validate", "checks_for", "CHECKS"]
+__all__ = ["CheckResult", "Claim", "validate", "checks_for", "CHECKS"]
 
 
 @dataclass
 class CheckResult:
-    """Outcome of one shape check."""
+    """Outcome of one claim on one figure."""
 
     name: str
     passed: bool
@@ -33,133 +40,196 @@ class CheckResult:
         return f"[{mark}] {self.name}: {self.detail}"
 
 
-Check = Callable[[FigureResult], CheckResult]
+@dataclass(frozen=True)
+class Claim:
+    """One row of :data:`CHECKS`: ``test`` maps a figure to
+    ``(passed, detail)`` and may raise ``KeyError`` on missing data."""
+
+    id: str
+    test: Callable[[FigureResult], Tuple[bool, str]]
 
 
-def _ratio_check(name: str, a: str, b: str, at_least: float,
-                 where: str = "peak") -> Check:
-    """series[a] / series[b] >= at_least (peak or final point)."""
-
-    def check(result: FigureResult) -> CheckResult:
-        sa, sb = result.by_label(a), result.by_label(b)
-        va = sa.peak if where == "peak" else sa.ys[-1]
-        vb = sb.peak if where == "peak" else sb.ys[-1]
-        ratio = va / vb if vb else float("inf")
-        return CheckResult(
-            name, ratio >= at_least,
-            f"{a}/{b} {where} = {ratio:.2f}x (need >= {at_least}x)")
-
-    return check
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+        "<=": operator.le, "==": operator.eq}
 
 
-def _latency_below(name: str, a: str, b: str) -> Check:
-    """series[a] <= series[b] at every shared x (latency figures)."""
+class _Band:
+    """An accepted range, written as in prose: ``"> 1.5"``, ``"== 0"``,
+    or an interval with open or closed ends, ``"[500, 1300]"`` or
+    ``"(1.05, 2)"``."""
 
-    def check(result: FigureResult) -> CheckResult:
-        sa, sb = result.by_label(a), result.by_label(b)
-        bad = [x for x in sa.xs if sa.y_at(x) > sb.y_at(x) * 1.05]
-        return CheckResult(
-            name, not bad,
-            f"{a} <= {b} everywhere" if not bad
-            else f"{a} above {b} at x={bad}")
+    def __init__(self, text: str):
+        if text[0] in "[(":
+            lo, hi = (float(v) for v in text[1:-1].split(","))
+            self._bounds = ((operator.ge if text[0] == "[" else operator.gt,
+                             lo),
+                            (operator.le if text[-1] == "]" else operator.lt,
+                             hi))
+            self.text = f"in {text}"
+        else:
+            op, value = text.split()
+            self._bounds = ((_OPS[op], float(value)),)
+            self.text = text
 
-    return check
+    def __contains__(self, value: float) -> bool:
+        return all(op(value, bound) for op, bound in self._bounds)
 
-
-def _monotone_rising(name: str, label: str) -> Check:
-    def check(result: FigureResult) -> CheckResult:
-        s = result.by_label(label)
-        ok = all(b >= a * 0.999 for a, b in zip(s.ys, s.ys[1:]))
-        return CheckResult(name, ok,
-                           f"{label} non-decreasing" if ok
-                           else f"{label} dips: {s.ys}")
-    return check
-
-
-def _declines_from_peak(name: str, label: str, below: float) -> Check:
-    """The final point sits below ``below`` x the series peak."""
-
-    def check(result: FigureResult) -> CheckResult:
-        s = result.by_label(label)
-        frac = s.ys[-1] / s.peak if s.peak else 1.0
-        return CheckResult(
-            name, frac < below,
-            f"{label} final/peak = {frac:.2f} (need < {below})")
-
-    return check
+    def __str__(self) -> str:
+        return self.text
 
 
-def _gap_grows(name: str, a: str, b: str) -> Check:
-    """a/b at the last x exceeds a/b at the first x."""
-
-    def check(result: FigureResult) -> CheckResult:
-        sa, sb = result.by_label(a), result.by_label(b)
-        lo = sa.ys[0] / sb.ys[0] if sb.ys[0] else 0.0
-        hi = sa.ys[-1] / sb.ys[-1] if sb.ys[-1] else 0.0
-        return CheckResult(name, hi > lo,
-                           f"{a}/{b}: {lo:.2f} -> {hi:.2f}")
-
-    return check
+def _div(a: float, b: float) -> float:
+    return a / b if b else float("inf")
 
 
-def _counter_positive(name: str, key: str, configs: "List[str] | None" = None
-                      ) -> Check:
-    """``meta["counters"][cfg][key] > 0`` for every listed config."""
-
-    def check(result: FigureResult) -> CheckResult:
-        counters = result.meta.get("counters") or {}
-        who = configs if configs is not None else sorted(counters)
-        if not who:
-            return CheckResult(name, False, "no counters in meta")
-        vals = {c: counters.get(c, {}).get(key, 0.0) for c in who}
-        bad = [c for c, v in vals.items() if not v > 0]
-        return CheckResult(
-            name, not bad,
-            f"{key} > 0 for all of {who}" if not bad
-            else f"{key} not engaged for {bad}: {vals}")
-
-    return check
+def _names(names: Union[str, Sequence[str]]) -> List[str]:
+    return [names] if isinstance(names, str) else list(names)
 
 
-def _counter_below(name: str, key: str, limit: float,
-                   configs: "List[str] | None" = None) -> Check:
-    """``meta["counters"][cfg][key] < limit`` for every listed config."""
-
-    def check(result: FigureResult) -> CheckResult:
-        counters = result.meta.get("counters") or {}
-        who = configs if configs is not None else sorted(counters)
-        if not who:
-            return CheckResult(name, False, "no counters in meta")
-        vals = {c: counters.get(c, {}).get(key, float("inf")) for c in who}
-        bad = [c for c, v in vals.items() if not v < limit]
-        return CheckResult(
-            name, not bad,
-            f"{key} < {limit:g} for all of {who}" if not bad
-            else f"{key} >= {limit:g} for {bad}: {vals}")
-
-    return check
+def _y(series: Series, x: float) -> float:
+    """The y at exactly ``x``: a claim never reads a neighbouring point."""
+    if x not in series.xs:
+        raise KeyError(f"{series.label}: no point at x={x:g}")
+    return series.ys[series.xs.index(x)]
 
 
-def _counter_at_least(name: str, key: str, floor: float,
-                      configs: "List[str] | None" = None) -> Check:
-    """``meta["counters"][cfg][key] >= floor`` for every listed config."""
+def _banded(cid: str, band: str, what: str,
+            values: Callable[[FigureResult], Dict[str, float]],
+            unit: str = "") -> Claim:
+    """Every value ``values`` measures lies in ``band``."""
+    accepted = _Band(band)
 
-    def check(result: FigureResult) -> CheckResult:
-        counters = result.meta.get("counters") or {}
-        who = configs if configs is not None else sorted(counters)
-        if not who:
-            return CheckResult(name, False, "no counters in meta")
-        vals = {c: counters.get(c, {}).get(key, 0.0) for c in who}
-        bad = [c for c, v in vals.items() if not v >= floor]
-        return CheckResult(
-            name, not bad,
-            f"{key} >= {floor:g} for all of {who}" if not bad
-            else f"{key} < {floor:g} for {bad}: {vals}")
+    def test(result: FigureResult) -> Tuple[bool, str]:
+        got = values(result)
+        if not got:
+            return False, f"no {what} to check"
+        bad = {k: v for k, v in got.items() if v not in accepted}
+        if len(got) > 1 and not bad:
+            return True, f"{what} {accepted}{unit} for all of {list(got)}"
+        shown = ", ".join(f"{k} {what} = {v:.2f}{unit}"
+                          for k, v in (bad or got).items())
+        return not bad, f"{shown} (need {accepted}{unit})"
 
-    return check
+    return Claim(cid, test)
 
 
-def _knee_inside_sweep(name: str) -> Check:
+#: what a series row measures: ``(name, Series -> float)``
+Measure = Tuple[str, Callable[[Series], float]]
+PEAK: Measure = ("peak", lambda s: s.peak)
+FIRST: Measure = ("first", lambda s: s.ys[0])
+FINAL: Measure = ("final", lambda s: s.ys[-1])
+LOWEST: Measure = ("lowest", lambda s: min(s.ys))
+FINAL_OVER_PEAK: Measure = ("final/peak", lambda s: _div(s.ys[-1], s.peak))
+LAST_OVER_FIRST: Measure = ("last/first", lambda s: _div(s.ys[-1], s.ys[0]))
+#: the smallest ratio between neighbouring points: >= 1 is non-decreasing
+MIN_STEP: Measure = ("min step", lambda s: min(
+    _div(b, a) for a, b in zip(s.ys, s.ys[1:])))
+#: achieved over offered rate at the lightest injection point
+FIRST_Y_OVER_X: Measure = ("first y/x", lambda s: _div(s.ys[0], s.xs[0]))
+#: :func:`_ratio` only: the ratio at every x of the numerator series
+EVERY = ("ratio", None)
+
+
+def _at(x: float) -> Measure:
+    return (f"at {x:g}", lambda s: _y(s, x))
+
+
+def _series(cid: str, labels: "str | Sequence[str] | None", band: str,
+            measure: Measure) -> Claim:
+    """``measure`` of each listed series (all series when ``None``)."""
+    what, fn = measure
+    return _banded(cid, band, what, lambda r: {
+        label: fn(r.by_label(label))
+        for label in (_names(labels) if labels is not None
+                      else [s.label for s in r.series])})
+
+
+def _ratio(cid: str, pairs: "str | Sequence[str]", band: str,
+           measure: Measure = PEAK) -> Claim:
+    """``measure(a) / measure(b)`` for each ``"a/b"`` pair of series."""
+
+    def values(result: FigureResult) -> Dict[str, float]:
+        out = {}
+        for pair in _names(pairs):
+            a, b = (result.by_label(label) for label in pair.split("/"))
+            if measure[1] is None:
+                for x in a.xs:
+                    out[f"{pair}@{x:g}"] = _div(_y(a, x), _y(b, x))
+            else:
+                out[pair] = _div(measure[1](a), measure[1](b))
+        return out
+
+    return _banded(cid, band, measure[0], values, unit="x")
+
+
+def _spread(cid: str, labels: Sequence[str], band: str) -> Claim:
+    """Highest over lowest peak of the listed series."""
+
+    def values(result: FigureResult) -> Dict[str, float]:
+        peaks = [result.by_label(label).peak for label in labels]
+        return {"max/min": _div(max(peaks), min(peaks))}
+
+    return _banded(cid, band, "peak", values, unit="x")
+
+
+def _counter(cid: str, key: str, band: str,
+             configs: "Sequence[str] | None" = None) -> Claim:
+    """``meta["counters"][cfg][key]`` for each listed config (all when
+    ``None``)."""
+
+    def values(result: FigureResult) -> Dict[str, float]:
+        counters = result.meta["counters"]
+        return {c: counters[c][key]
+                for c in (configs if configs is not None
+                          else sorted(counters))}
+
+    return _banded(cid, band, key, values)
+
+
+def _counter_value(config: str, key: str) -> Callable[[FigureResult], float]:
+    return lambda r: r.meta["counters"][config][key]
+
+
+def _peak_ratio(a: str, b: str) -> Callable[[FigureResult], float]:
+    return lambda r: _div(r.by_label(a).peak, r.by_label(b).peak)
+
+
+def _greater(cid: str, what: str, left: Callable[[FigureResult], float],
+             right: Callable[[FigureResult], float]) -> Claim:
+    """``left > right``, for the claims that compare two measured values."""
+
+    def test(result: FigureResult) -> Tuple[bool, str]:
+        a, b = left(result), right(result)
+        return a > b, f"{what}: {a:.2f} vs {b:.2f} (need first larger)"
+
+    return Claim(cid, test)
+
+
+def _winner(cid: str, allowed: Sequence[str]) -> Claim:
+    """The series with the highest peak is one of ``allowed``."""
+
+    def test(result: FigureResult) -> Tuple[bool, str]:
+        best = max(result.series, key=lambda s: s.peak)
+        return best.label in allowed, (f"highest peak {best.label} "
+                                       f"({best.peak:.1f}); need one of "
+                                       f"{list(allowed)}")
+
+    return Claim(cid, test)
+
+
+def _dominant(cid: str, stages: Dict[str, str]) -> Claim:
+    """``meta["dominant"][cfg]`` (the critical-path stage with the largest
+    share) is the listed stage for each config."""
+
+    def test(result: FigureResult) -> Tuple[bool, str]:
+        got = {c: result.meta["dominant"][c] for c in stages}
+        return got == stages, f"dominant stage {got}" + (
+            "" if got == stages else f" (need {stages})")
+
+    return Claim(cid, test)
+
+
+def _knee_inside_sweep(cid: str) -> Claim:
     """Every family's saturation knee sits strictly inside the ladder.
 
     ``meta["knees"][cfg] == 0`` means the family was saturated below the
@@ -167,143 +237,273 @@ def _knee_inside_sweep(name: str) -> Check:
     saturated it — either way the sweep failed to *locate* the knee.
     """
 
-    def check(result: FigureResult) -> CheckResult:
+    def test(result: FigureResult) -> Tuple[bool, str]:
         knees = result.meta.get("knees") or {}
         loads = result.meta.get("loads") or []
         if not knees or not loads:
-            return CheckResult(name, False, "no knees/loads in meta")
+            return False, "no knees/loads in meta"
         bad = {c: k for c, k in knees.items()
                if not loads[0] <= k < loads[-1]}
-        return CheckResult(
-            name, not bad,
+        return not bad, (
             f"all knees inside [{loads[0]:g}, {loads[-1]:g}): {knees}"
             if not bad else f"knees outside sweep: {bad} (all: {knees})")
 
-    return check
+    return Claim(cid, test)
 
 
-def _knee_ordering(name: str, pairs: "List[tuple[str, str]]") -> Check:
+def _knee_ordering(cid: str, pairs: "List[tuple[str, str]]") -> Claim:
     """``knee[a] > knee[b]`` for every ``(a, b)`` pair."""
 
-    def check(result: FigureResult) -> CheckResult:
+    def test(result: FigureResult) -> Tuple[bool, str]:
         knees = result.meta.get("knees") or {}
         if not knees:
-            return CheckResult(name, False, "no knees in meta")
+            return False, "no knees in meta"
         bad = [f"{a}({knees.get(a, 0.0):g}) <= {b}({knees.get(b, 0.0):g})"
                for a, b in pairs
                if not knees.get(a, 0.0) > knees.get(b, 0.0)]
-        return CheckResult(
-            name, not bad,
-            f"knee ordering holds: {knees}" if not bad
-            else "; ".join(bad))
+        return not bad, (f"knee ordering holds: {knees}" if not bad
+                         else "; ".join(bad))
 
-    return check
+    return Claim(cid, test)
 
 
-def _p99_inflects(name: str, factor: float) -> Check:
+def _p99_inflects(cid: str, factor: float) -> Claim:
     """p99 at the top of the ladder >= factor x p99 at the bottom."""
 
-    def check(result: FigureResult) -> CheckResult:
+    def test(result: FigureResult) -> Tuple[bool, str]:
         p99 = result.meta.get("p99_us") or {}
         if not p99:
-            return CheckResult(name, False, "no p99_us in meta")
-        ratios = {c: (ys[-1] / ys[0] if ys[0] else float("inf"))
-                  for c, ys in p99.items()}
+            return False, "no p99_us in meta"
+        ratios = {c: _div(ys[-1], ys[0]) for c, ys in p99.items()}
         bad = [c for c, r in ratios.items() if not r >= factor]
-        return CheckResult(
-            name, not bad,
+        return not bad, (
             f"p99 inflates >= {factor:g}x for all: "
             + ", ".join(f"{c}={r:.1f}x" for c, r in sorted(ratios.items()))
             if not bad else f"p99 flat for {bad}: {ratios}")
 
-    return check
+    return Claim(cid, test)
 
 
-#: per-figure shape targets (mirrors EXPERIMENTS.md)
-CHECKS: Dict[str, List[Check]] = {
+#: the pinned-progress / worker-progress pairs of the eight LCI ``_i``
+#: variants (Figs 2 and 5)
+_PIN_OVER_MT = [f"lci_{p}_{c}_pin_i/lci_{p}_{c}_mt_i"
+                for p in ("psr", "sr") for c in ("cq", "sy")]
+_MT_VARIANTS = [f"lci_{p}_{c}_mt_i"
+                for p in ("psr", "sr") for c in ("cq", "sy")]
+_PSR_PIN_I = ["lci_psr_cq_pin_i", "lci_psr_sy_pin_i"]
+#: the counters key of the LCI family under the default overload scenario
+_OVERLOAD_LCI = f"lci_psr_cq_pin_i@{FaultPlan.parse(OVERLOAD_SPEC).describe()}"
+
+#: per-figure claims (mirrors EXPERIMENTS.md).  Rows that read a
+#: message-rate series' FINAL point measure the unlimited-injection rate.
+CHECKS: Dict[str, List[Claim]] = {
     "fig1": [
-        _ratio_check("lci_best_beats_mpi", "lci_psr_cq_pin_i", "mpi", 1.5),
-        _ratio_check("lci_best_beats_mpi_i", "lci_psr_cq_pin_i", "mpi_i",
-                     2.0),
-        _ratio_check("immediate_beats_aggregated_lci", "lci_psr_cq_pin_i",
-                     "lci_psr_cq_pin", 1.3),
+        _series("tracks_injection_at_low_rate", None, "> 0.85",
+                FIRST_Y_OVER_X),
+        _ratio("lci_best_beats_mpi", "lci_psr_cq_pin_i/mpi", "> 1.5"),
+        _ratio("lci_best_beats_mpi_i", "lci_psr_cq_pin_i/mpi_i", "> 2"),
+        _ratio("immediate_beats_aggregated_lci",
+               "lci_psr_cq_pin_i/lci_psr_cq_pin", ">= 1.3"),
+        # aggregation relieves MPI's injection pressure at 8 B
+        _ratio("aggregation_helps_mpi", "mpi/mpi_i", "> 1.2"),
+        _series("lci_peak_8b", "lci_psr_cq_pin_i", "[500, 1300]", FINAL),
+        _series("no_immediate_band_8b", "lci_psr_cq_pin", "[280, 700]",
+                FINAL),
+        _ratio("lci_over_mpi_i_8b", "lci_psr_cq_pin_i/mpi_i", "[2, 30]",
+               FINAL),
     ],
     "fig2": [
-        _ratio_check("pin_beats_mt", "lci_psr_cq_pin_i",
-                     "lci_psr_cq_mt_i", 2.0),
-        _ratio_check("put_beats_sendrecv", "lci_psr_cq_pin_i",
-                     "lci_sr_cq_pin_i", 1.3),
+        _ratio("pin_beats_mt", _PIN_OVER_MT, "> 1.3"),
+        _ratio("pin_beats_mt_psr_cq", "lci_psr_cq_pin_i/lci_psr_cq_mt_i",
+               "> 2"),
+        _ratio("pin_over_mt_ratio", "lci_psr_cq_pin_i/lci_psr_cq_mt_i",
+               "[1.8, 4.5]", FINAL),
+        _ratio("put_beats_sendrecv", "lci_psr_cq_pin_i/lci_sr_cq_pin_i",
+               "> 1.3"),
+        # paper: the mt variants are "stuck at around 285K/s"
+        _spread("mt_variants_cluster", _MT_VARIANTS, "< 2.5"),
+        _series("mt_band_8b", "lci_psr_cq_mt_i", "[150, 450]", FINAL),
+    ],
+    "fig3": [
+        # at 8 B a parcel is one header message, so cq and sy tie
+        _winner("psr_pin_i_on_top", _PSR_PIN_I),
+        _ratio("cq_matches_sy", "lci_psr_cq_pin_i/lci_psr_sy_pin_i",
+               "> 0.95"),
+        _ratio("lci_best_beats_mpi", "lci_psr_cq_pin_i/mpi", "> 1.5"),
+        _ratio("lci_best_beats_mpi_i", "lci_psr_cq_pin_i/mpi_i", "> 2"),
+        # paper: 750 vs ~400 K/s
+        _ratio("immediate_gain", "lci_psr_cq_pin_i/lci_psr_cq_pin",
+               "(1.3, 3.5)"),
     ],
     "fig4": [
-        _ratio_check("lci_beats_mpi_16k", "lci_psr_cq_pin_i", "mpi",
-                     1.5, where="final"),
-        _declines_from_peak("mpi_declines", "mpi", 0.8),
-        _declines_from_peak("mpi_i_declines", "mpi_i", 0.8),
+        _ratio("lci_beats_mpi_16k", "lci_psr_cq_pin_i/mpi", "> 1.5", FINAL),
+        _ratio("lci_beats_mpi_i_16k", "lci_psr_cq_pin_i/mpi_i", "> 2",
+               FINAL),
+        _series("mpi_declines", ["mpi", "mpi_i"], "< 0.8", FINAL_OVER_PEAK),
+        _series("lci_holds_plateau", "lci_psr_cq_pin_i", "> 0.8",
+                FINAL_OVER_PEAK),
+        _series("lci_16k_band", "lci_psr_cq_pin_i", "[120, 400]", FINAL),
     ],
     "fig5": [
-        _ratio_check("pin_beats_mt_16k", "lci_psr_cq_pin_i",
-                     "lci_psr_cq_mt_i", 1.1),
+        _ratio("pin_beats_mt_16k", _PIN_OVER_MT, "> 1.1"),
+        _ratio("cq_matches_sy_16k", "lci_psr_cq_pin_i/lci_psr_sy_pin_i",
+               ">= 0.9"),
+        _series("every_variant_moves_16k", None, "> 0", PEAK),
+    ],
+    "fig6": [
+        _winner("psr_pin_i_on_top_16k", _PSR_PIN_I),
+        _ratio("lci_pin_i_beats_mpi_16k",
+               [f"lci_{p}_{c}_pin_i/{m}" for p in ("psr", "sr")
+                for c in ("cq", "sy") for m in ("mpi", "mpi_i")], "> 1"),
+        # zero-copy 16 KiB chunks cannot batch
+        _ratio("aggregation_hurts_16k", "lci_psr_cq_pin_i/lci_psr_cq_pin",
+               "> 1"),
     ],
     "fig7": [
-        _latency_below("lci_always_fastest", "lci_psr_cq_pin_i", "mpi_i"),
-        _latency_below("lci_below_mpi", "lci_psr_cq_pin_i", "mpi"),
-        _latency_below("immediate_helps", "lci_psr_cq_pin_i",
-                       "lci_psr_cq_pin"),
+        _ratio("lci_always_fastest", "lci_psr_cq_pin_i/mpi_i", "<= 1.05",
+               EVERY),
+        _ratio("lci_below_mpi", "lci_psr_cq_pin_i/mpi", "< 1", EVERY),
+        _ratio("immediate_helps", "lci_psr_cq_pin_i/lci_psr_cq_pin", "< 1",
+               EVERY),
+        # paper: 1.3x below 1 KB, 3-5x worse above (protocol switch)
+        _ratio("mpi_i_small_latency_close", "mpi_i/lci_psr_cq_pin_i",
+               "[0.95, 1.6)", _at(8)),
+        _ratio("mpi_i_large_latency_worse", "mpi_i/lci_psr_cq_pin_i",
+               "(1.25, 8]", _at(65536)),
+        _series("latency_grows_with_size", None, "> 1", LAST_OVER_FIRST),
+        _series("small_latency_band", "lci_psr_cq_pin_i", "[2, 8]", _at(8)),
     ],
     "fig8": [
-        _monotone_rising("latency_grows_lci", "lci_psr_cq_pin_i"),
-        _monotone_rising("latency_grows_mpi_i", "mpi_i"),
-        _gap_grows("mpi_i_degrades_faster", "mpi_i", "lci_psr_cq_pin_i"),
+        _series("latency_grows", ["lci_psr_cq_pin_i", "mpi_i"], ">= 0.999",
+                MIN_STEP),
+        _series("latency_grows_with_window", None, "> 1", LAST_OVER_FIRST),
+        _ratio("lci_below_mpi_i_at_top", "lci_psr_cq_pin_i/mpi_i", "< 1",
+               FINAL),
+        _ratio("mpi_i_degrades_faster", "mpi_i/lci_psr_cq_pin_i", "> 1",
+               LAST_OVER_FIRST),
+        # the paper's mpi/mpi_i crossover direction
+        _ratio("mpi_loses_less_than_mpi_i", "mpi/mpi_i", "< 1",
+               LAST_OVER_FIRST),
     ],
     "fig9": [
-        _monotone_rising("latency_grows_lci", "lci_psr_cq_pin_i"),
-        _gap_grows("mpi_i_degrades_faster", "mpi_i", "lci_psr_cq_pin_i"),
+        _series("latency_grows_lci", "lci_psr_cq_pin_i", ">= 0.999",
+                MIN_STEP),
+        _series("latency_grows_with_window", None, "> 1", LAST_OVER_FIRST),
+        # paper: 2x at window 1 up to 9.6x at window 64
+        _ratio("mpi_i_degrades_faster", "mpi_i/lci_psr_cq_pin_i", "> 1",
+               LAST_OVER_FIRST),
+        _ratio("mpi_i_gap_at_top", "mpi_i/lci_psr_cq_pin_i", "> 1.3", FINAL),
     ],
     "fig10": [
-        _monotone_rising("lci_scales", "lci"),
-        _gap_grows("speedup_vs_mpi_grows", "lci", "mpi"),
-        _ratio_check("mpi_i_collapse", "lci", "mpi_i", 2.0, where="final"),
+        _series("lci_scales", "lci", ">= 0.999", MIN_STEP),
+        _series("lci_and_mpi_speed_up", ["lci", "mpi"], "> 1",
+                LAST_OVER_FIRST),
+        _ratio("near_parity_at_2_nodes", "lci/mpi", "(0.9, 1.4)", FIRST),
+        _ratio("speedup_vs_mpi_grows", "lci/mpi", "> 1", LAST_OVER_FIRST),
+        # paper: mpi_i 13.6x slower than lci at 32 nodes
+        _ratio("mpi_i_collapse", "lci/mpi_i", "> 2.5", FINAL),
+        _ratio("mpi_i_collapse_grows", "lci/mpi_i", "> 2", LAST_OVER_FIRST),
+        _ratio("aggregation_rescues_mpi", "mpi/mpi_i", "> 2", FINAL),
     ],
     "fig11": [
-        _monotone_rising("lci_scales", "lci"),
-        _monotone_rising("no_mpi_i_collapse_on_rostam", "mpi_i"),
+        _series("lci_and_mpi_i_scale", ["lci", "mpi_i"], ">= 0.999",
+                MIN_STEP),
+        _series("lci_and_mpi_i_speed_up", ["lci", "mpi_i"], "> 1",
+                LAST_OVER_FIRST),
+        # paper: up to 1.08x vs mpi_i, 1.04x vs mpi, and no mpi_i collapse
+        _ratio("modest_gain_no_mpi_i_collapse", ["lci/mpi", "lci/mpi_i"],
+               "(0.9, 1.6)", EVERY),
+    ],
+    # §3.1: tag-release traffic and static 512 B headers cost the
+    # original on every message; the mini-app under-weights that traffic,
+    # so its gain is below the paper's ~20 % (EXPERIMENTS.md)
+    "ablation_mpi_pp": [
+        _counter("improved_wins_message_rate", "rate", "(1.05, 2)",
+                 ["improved_over_original"]),
+        _counter("improved_never_loses_app", "app", "> 0.97",
+                 ["improved_over_original"]),
+    ],
+    # §4.1: immediate helps psr by up to 80 %; both no-immediate variants
+    # share the parcel-queue / connection-cache ceiling
+    "ablation_aggregation": [
+        _ratio("immediate_helps_psr", "lci_psr_cq_pin_i/lci_psr_cq_pin",
+               "> 1.3"),
+        _spread("no_immediate_shares_ceiling",
+                ["lci_psr_cq_pin", "lci_sr_cq_pin"], "< 1.25"),
+        _greater("immediate_gain_psr_over_sr",
+                 "psr vs sr immediate/no-immediate peak",
+                 _peak_ratio("lci_psr_cq_pin_i", "lci_psr_cq_pin"),
+                 _peak_ratio("lci_sr_cq_pin_i", "lci_sr_cq_pin")),
+    ],
+    # flow control under a squeezed pool and a slow receiver: every run
+    # completes exactly once and the overloaded runs feel the pressure
+    "overload_smoke": [
+        _series("every_run_moves_messages", None, "> 0", LOWEST),
+        _counter("no_message_failed", "failed_msgs", "== 0"),
+        _counter("credits_engage", "fault.credits_consumed", "> 0"),
+        _counter("slow_receiver_defers", "fault.slow_deferrals", "> 0"),
+        _counter("lci_feels_pool_squeeze", "fault.pool_squeezed", "> 0",
+                 [_OVERLOAD_LCI]),
+    ],
+    "trace_smoke": [
+        _dominant("mpi_waits_lci_polls",
+                  {"mpi_i": "progress_lock_wait",
+                   "lci_psr_cq_pin_i": "progress_poll"}),
     ],
     # collectives workload: the incast must engage flow control and the
     # LCI designs must beat the MPI parcelports on the transpose
     "fft_smoke": [
-        _ratio_check("lci_beats_mpi", "lci_psr_cq_pin_i", "mpi", 1.2),
-        _ratio_check("lci_beats_mpi_i", "lci_psr_cq_pin_i", "mpi_i", 1.2),
+        _ratio("lci_beats_mpi", "lci_psr_cq_pin_i/mpi", ">= 1.2"),
+        _ratio("lci_beats_mpi_i", "lci_psr_cq_pin_i/mpi_i", ">= 1.2"),
         # aggregated mpi coalesces the smoke-size fan-in under the
         # window, so only the immediate-mode configs are required here
-        _counter_positive("incast_engages_credits", "credit_stalls",
-                          ["lci_psr_cq_pin_i", "lci_sr_cq_pin_i",
-                           "mpi_i"]),
+        _counter("incast_engages_credits", "credit_stalls", "> 0",
+                 ["lci_psr_cq_pin_i", "lci_sr_cq_pin_i", "mpi_i"]),
+        _counter("lci_never_waits_on_lock", "lock_wait_pct", "== 0",
+                 ["lci_psr_cq_pin_i"]),
+        _counter("lci_polls", "poll_pct", "> 0", ["lci_psr_cq_pin_i"]),
+        _greater("mpi_waits_more_than_it_polls",
+                 "mpi lock_wait_pct vs poll_pct",
+                 _counter_value("mpi", "lock_wait_pct"),
+                 _counter_value("mpi", "poll_pct")),
+        _dominant("mpi_dominated_by_lock_wait",
+                  {"mpi": "progress_lock_wait"}),
     ],
     "fft_sweep": [
-        _ratio_check("lci_beats_mpi_i_at_top", "lci_psr_cq_pin_i",
-                     "mpi_i", 1.2, where="final"),
-        _ratio_check("lci_beats_mpi_orig_at_top", "lci_psr_cq_pin_i",
-                     "mpi_orig", 1.2, where="final"),
-        _monotone_rising("throughput_grows_lci", "lci_psr_cq_pin_i"),
-        _counter_positive("incast_engages_credits_at_top",
-                          "credit_stalls"),
-        _counter_positive("incast_defers_sends_at_top", "puts_deferred",
-                          ["lci_psr_cq_pin_i", "mpi_i"]),
+        _ratio("lci_beats_lci_sr", "lci_psr_cq_pin_i/lci_sr_cq_pin_i", "> 1",
+               EVERY),
+        _ratio("lci_beats_mpi_families",
+               [f"lci_psr_cq_pin_i/{m}" for m in ("mpi", "mpi_i", "mpi_orig")],
+               "> 1.2", EVERY),
+        # the credit window throttles the incast, it does not collapse it
+        _series("throughput_grows", None, "> 1", MIN_STEP),
+        _counter("incast_engages_credits_at_top", "credit_stalls", "> 0"),
+        _counter("incast_defers_sends_at_top", "puts_deferred", "> 0",
+                 ["lci_psr_cq_pin_i", "mpi_i"]),
+        # critical path: the incast backlog dominates for LCI, while MPI
+        # still spends a large share under the progress lock
+        _counter("lci_backlog_dominates", "backlog_pct", "> 50",
+                 ["lci_psr_cq_pin_i"]),
+        _counter("lci_never_waits_on_lock", "lock_wait_pct", "== 0",
+                 ["lci_psr_cq_pin_i"]),
+        _counter("mpi_waits_on_lock", "lock_wait_pct", "> 30", ["mpi"]),
+        _dominant("lci_dominated_by_backlog",
+                  {"lci_psr_cq_pin_i": "backlog_wait"}),
     ],
     # serving workload: below the knee every family meets the SLO; past
     # it goodput collapses, the tail blows through the deadline, and the
     # shed-mode flow control rejects the excess (admission control)
     "serve_smoke": [
-        _counter_at_least("light_meets_slo", "slo_attainment", 0.99,
-                          [f"{c}@light" for c in SERVE_CONFIGS]),
-        _counter_below("heavy_saturates", "slo_attainment", 0.5,
-                       [f"{c}@heavy" for c in SERVE_CONFIGS]),
-        _counter_positive("heavy_sheds_requests", "shed_requests",
-                          [f"{c}@heavy" for c in SERVE_CONFIGS]),
-        _counter_positive("heavy_misses_deadlines", "deadline_misses",
-                          [f"{c}@heavy" for c in SERVE_CONFIGS]),
-        _counter_positive("heavy_engages_credits", "credit_stalls",
-                          [f"{c}@heavy" for c in SERVE_CONFIGS]),
+        _counter("light_meets_slo", "slo_attainment", ">= 0.99",
+                 [f"{c}@light" for c in SERVE_CONFIGS]),
+        _counter("heavy_saturates", "slo_attainment", "< 0.5",
+                 [f"{c}@heavy" for c in SERVE_CONFIGS]),
+        _counter("heavy_sheds_requests", "shed_requests", "> 0",
+                 [f"{c}@heavy" for c in SERVE_CONFIGS]),
+        _counter("heavy_misses_deadlines", "deadline_misses", "> 0",
+                 [f"{c}@heavy" for c in SERVE_CONFIGS]),
+        _counter("heavy_engages_credits", "credit_stalls", "> 0",
+                 [f"{c}@heavy" for c in SERVE_CONFIGS]),
     ],
     "serve_sweep": [
         _knee_inside_sweep("knee_located_per_family"),
@@ -317,44 +517,44 @@ CHECKS: Dict[str, List[Check]] = {
         _p99_inflects("p99_inflects_past_knee", 3.0),
         # goodput falls off its peak once the open-loop stream overruns
         # the knee — the throughput-plateau half of the knee signature
-        _declines_from_peak("goodput_off_peak_lci_psr",
-                            "lci_psr_cq_pin_i", 0.95),
-        _declines_from_peak("goodput_off_peak_mpi", "mpi", 0.95),
-        _declines_from_peak("goodput_off_peak_mpi_orig", "mpi_orig", 0.95),
+        _series("goodput_off_peak_lci_psr", "lci_psr_cq_pin_i", "< 0.95",
+                FINAL_OVER_PEAK),
+        _series("goodput_off_peak_mpi", "mpi", "< 0.95", FINAL_OVER_PEAK),
+        _series("goodput_off_peak_mpi_orig", "mpi_orig", "< 0.95",
+                FINAL_OVER_PEAK),
         # admission control engages at the top of the ladder: the
         # aggregated MPI parcelports coalesce under the parcel-queue
         # bound at these loads, so request shedding is required of the
         # immediate-mode configs and deadline misses of every family
-        _counter_positive("top_sheds_requests", "shed_requests",
-                          ["lci_psr_cq_pin_i", "lci_sr_cq_pin_i",
-                           "mpi_i"]),
-        _counter_positive("top_misses_deadlines", "deadline_misses"),
-        _counter_positive("top_engages_credits", "credit_stalls"),
+        _counter("top_sheds_requests", "shed_requests", "> 0",
+                 ["lci_psr_cq_pin_i", "lci_sr_cq_pin_i", "mpi_i"]),
+        _counter("top_misses_deadlines", "deadline_misses", "> 0"),
+        _counter("top_engages_credits", "credit_stalls", "> 0"),
     ],
     "adapt_smoke": [
         # the controller actually ran (ticks) and moved knobs (retunes)
-        _counter_positive("controller_ticks", "ticks",
-                          ["lci_psr_cq_pin+adapt"]),
-        _counter_positive("controller_retunes", "retunes",
-                          ["lci_psr_cq_pin+adapt"]),
+        _counter("controller_ticks", "ticks", "> 0",
+                 ["lci_psr_cq_pin+adapt"]),
+        _counter("controller_retunes", "retunes", "> 0",
+                 ["lci_psr_cq_pin+adapt"]),
         # adaptation must not hurt the config it rides on
-        _ratio_check("adaptation_not_harmful", "lci_psr_cq_pin+adapt",
-                     "lci_psr_cq_pin", 0.95),
+        _ratio("adaptation_not_harmful",
+               "lci_psr_cq_pin+adapt/lci_psr_cq_pin", ">= 0.95"),
     ],
 }
 
 
-def checks_for(figure: str) -> List[Check]:
+def checks_for(figure: str) -> List[Claim]:
     return CHECKS.get(figure, [])
 
 
 def validate(result: FigureResult) -> List[CheckResult]:
-    """Run all registered shape checks for ``result``'s figure."""
+    """Run every claim registered for ``result``'s figure."""
     out = []
-    for check in checks_for(result.figure):
+    for claim in checks_for(result.figure):
         try:
-            out.append(check(result))
+            passed, detail = claim.test(result)
         except KeyError as e:
-            out.append(CheckResult(getattr(check, "__name__", "check"),
-                                   False, f"missing series: {e}"))
+            passed, detail = False, f"missing data: {e}"
+        out.append(CheckResult(claim.id, passed, detail))
     return out

@@ -9,10 +9,10 @@ Mirrors the execution model the paper describes for HPX:
 * still-idle workers back off exponentially and are woken by task arrivals
   or NIC activity.
 
-Thread-weight scaling (see :mod:`repro.hpx_rt.platform`): ``worker.compute``
-divides by ``thread_weight`` so one simulated core provides the throughput
-of ``weight`` physical cores, while ``worker.cpu`` (communication-path
-cycles) is unscaled.
+Thread-weight scaling (see :mod:`repro.hpx_rt.platform`):
+``worker.compute_granular`` divides by ``thread_weight`` so one simulated
+core provides the throughput of ``weight`` physical cores, while
+``worker.cpu`` (communication-path cycles) is unscaled.
 """
 
 from __future__ import annotations
@@ -128,19 +128,13 @@ class Worker:
         self.cpu_us += us
         return us
 
-    def compute(self, us: float) -> float:
-        """Application compute, scaled by the platform thread weight."""
-        scaled = us / self._weight
-        self.stats.accum["compute_us"] += scaled
-        return scaled
-
     def compute_granular(self, us: float):
         """Generator: compute that stands for a *batch* of fine-grained
         HPX tasks.
 
         Real HPX applications express big computations as many small
         tasks, so the scheduler (and with it the parcelport's background
-        work) runs between them.  A monolithic ``compute`` would starve
+        work) runs between them.  A monolithic compute charge would starve
         communication for its whole duration; this slices the work at the
         platform task granularity and gives the parcelport one background
         slice per boundary — on the MPI parcelport that is exactly where

@@ -1,9 +1,10 @@
 """Deterministic named random-number streams.
 
-Every stochastic decision in the simulation (task compute jitter, octree
-refinement, workload arrival noise) draws from a stream derived from a
-single root seed plus a stable stream name, so experiments are exactly
-repeatable and independent components do not perturb each other's draws.
+Every stochastic decision in the simulation (fault draws, retry backoff
+jitter, octree refinement, FFT inputs, serving arrivals and sizes) draws
+from a stream derived from a single root seed plus a stable stream name,
+so experiments are exactly repeatable and independent components do not
+perturb each other's draws.
 
 numpy is imported when the first stream is created: the message-rate and
 latency workloads draw no random number, so they never load it.
@@ -38,10 +39,3 @@ class RngPool:
             gen = np.random.default_rng(seed)
             self._streams[name] = gen
         return gen
-
-    def jitter(self, name: str, mean_us: float, cv: float = 0.1) -> float:
-        """A positive jittered duration with coefficient of variation ``cv``."""
-        if mean_us <= 0.0 or cv <= 0.0:
-            return max(mean_us, 0.0)
-        draw = self.stream(name).normal(mean_us, mean_us * cv)
-        return max(draw, mean_us * 0.1)

@@ -9,7 +9,8 @@ from repro.bench import (FIGURES, LatencyParams, Measurement,
                          table_abbreviations)
 from repro.bench.reporting import (ascii_plot, format_bar_chart,
                                    format_series_table, format_table)
-from repro.hpx_rt.platform import LAPTOP
+from repro.hpx_rt.platform import EXPANSE, LAPTOP, ROSTAM
+from repro.parcelport import ALL_LCI_VARIANTS, PPConfig
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +153,19 @@ def test_tables_render():
     t1 = table_abbreviations()
     assert "putsendrecv" in t1
     assert "send immediate" in t1
+    for abbrev in ("mpi", "lci", "sr", "psr", "sy", "cq", "pin", "mt", "i"):
+        assert abbrev in t1
+    # every abbreviation composes into a parseable configuration
+    for spec in ALL_LCI_VARIANTS + ["mpi", "mpi_i", "lci_psr_cq_pin"]:
+        assert PPConfig.parse(spec).label == spec
     t23 = platform_tables()
     assert "expanse" in t23 and "rostam" in t23
     assert "128" in t23 and "40" in t23
+    # Table 2: Expanse, 128 cores, HDR IB; Table 3: Rostam, 40 cores, FDR IB
+    assert (EXPANSE.phys_cores_per_node, EXPANSE.max_nodes) == (128, 32)
+    assert (ROSTAM.phys_cores_per_node, ROSTAM.max_nodes) == (40, 16)
+    assert "hdr-ib" in t23 and "fdr-ib" in t23
+    assert EXPANSE.network.bytes_per_us > ROSTAM.network.bytes_per_us
 
 
 def test_figure_registry_complete():

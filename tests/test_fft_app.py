@@ -450,30 +450,32 @@ def test_unfragmented_small_fft_leaves_flow_idle():
 # ---------------------------------------------------------------------------
 # the fft figures
 # ---------------------------------------------------------------------------
-def test_fft_smoke_reports_breakdown_and_flow_counters():
-    from repro.bench.figures import FFT_CONFIGS, fft_smoke
+@pytest.fixture(scope="module")
+def fft_smoke_checks():
+    from repro.bench.figures import fft_smoke
     from repro.bench.validation import validate
 
     res = fft_smoke(quick=True)
+    return res, {c.name: c for c in validate(res)}
+
+
+def test_fft_smoke_reports_breakdown_and_flow_counters(fft_smoke_checks):
+    from repro.bench.figures import FFT_CONFIGS
+
+    res, checks = fft_smoke_checks
     assert [s.label for s in res.series] == FFT_CONFIGS
-    counters = res.meta["counters"]
-    assert set(counters) == set(FFT_CONFIGS)
-    for cfg in ("lci_psr_cq_pin_i", "lci_sr_cq_pin_i", "mpi_i"):
-        assert counters[cfg]["credit_stalls"] > 0, cfg
+    assert set(res.meta["counters"]) == set(FFT_CONFIGS)
     # critical-path decomposition present and incast-aware
     for cfg, rep in res.meta["reports"].items():
         assert "backlog_wait" in rep
         assert "progress" in rep
-    assert all(c.passed for c in validate(res)), \
-        [c.render() for c in validate(res)]
+    assert all(c.passed for c in checks.values()), \
+        [c.render() for c in checks.values()]
 
 
-def test_fft_smoke_lci_polls_while_mpi_waits_on_lock():
-    from repro.bench.figures import fft_smoke
-
-    res = fft_smoke(quick=True)
-    c = res.meta["counters"]
-    assert c["lci_psr_cq_pin_i"]["lock_wait_pct"] == 0
-    assert c["lci_psr_cq_pin_i"]["poll_pct"] > 0
-    assert c["mpi"]["lock_wait_pct"] > c["mpi"]["poll_pct"]
-    assert res.meta["dominant"]["mpi"] == "progress_lock_wait"
+def test_fft_smoke_lci_polls_while_mpi_waits_on_lock(fft_smoke_checks):
+    _, checks = fft_smoke_checks
+    for claim in ("lci_never_waits_on_lock", "lci_polls",
+                  "mpi_waits_more_than_it_polls",
+                  "mpi_dominated_by_lock_wait"):
+        assert checks[claim].passed, checks[claim].render()

@@ -195,13 +195,12 @@ def test_remote_action_roundtrip_with_reply():
     assert rt.run_until(done, max_events=100000) == 42
 
 
-def test_worker_compute_scaled_by_thread_weight():
+def test_worker_cpu_returns_bare_charge():
     rt = make_runtime("lci", platform=EXPANSE, n_localities=2)
     rt.boot()
     w = rt.localities[0].workers[0]
-    # cpu/compute return the bare charge (the kernel's float fast path
-    # schedules it exactly like a timeout of the same delay)
-    assert w.compute(800.0) == pytest.approx(800.0 / 8.0)
+    # cpu returns the bare charge (the kernel's float fast path schedules
+    # it exactly like a timeout of the same delay)
     assert w.cpu(5.0) == 5.0
 
 

@@ -4,15 +4,17 @@ import pytest
 
 from repro import LAPTOP, make_runtime
 from repro.hpx_rt import HpxRuntime
+from repro.hpx_rt.platform import EXPANSE
 from repro.lci_sim import DEFAULT_LCI_PARAMS
 from repro.parcelport import PPConfig, make_parcelport_factory
 
 
-def make_multidev_runtime(num_devices, config="lci_psr_cq_mt_i"):
+def make_multidev_runtime(num_devices, config="lci_psr_cq_mt_i",
+                          platform=LAPTOP):
     cfg = PPConfig.parse(config)
     params = DEFAULT_LCI_PARAMS.with_(num_devices=num_devices)
     factory = make_parcelport_factory(cfg, lci_params=params)
-    return HpxRuntime(LAPTOP, 2, factory, immediate=cfg.immediate)
+    return HpxRuntime(platform, 2, factory, immediate=cfg.immediate)
 
 
 @pytest.mark.parametrize("config", ["lci_psr_cq_mt_i", "lci_sr_sy_pin_i"])
@@ -72,3 +74,39 @@ def test_single_device_is_default():
     assert len(rt.localities[0].parcelport.devices) == 1
     assert rt.localities[0].parcelport.device is \
         rt.localities[0].parcelport.devices[0]
+
+
+def test_multi_device_scaling():
+    """§7.2: the paper blames the gap to the NIC's limits on contention for
+    the one LCI device per process.  Replicated devices lift worker-
+    progress 8 B message rates past the single-device pinned peak, while
+    one pinned progress thread (still the serial consumer) gains nothing.
+    """
+    total, batch = 2000, 100
+
+    def rate(config, num_devices):
+        rt = make_multidev_runtime(num_devices, config, platform=EXPANSE)
+        done = rt.new_latch(total)
+
+        def sink(worker, payload):
+            done.count_down()
+            return None
+
+        rt.register_action("sink", sink)
+
+        def inject(worker):
+            for _ in range(batch):
+                yield from rt.locality(0).apply(worker, 1, "sink", ("d",),
+                                                arg_sizes=[8])
+
+        rt.boot()
+        for _ in range(total // batch):
+            rt.locality(0).spawn(inject)
+        rt.run_until(done, max_events=20_000_000)
+        return total / rt.now * 1e3
+
+    mt1, mt4 = rate("lci_psr_cq_mt_i", 1), rate("lci_psr_cq_mt_i", 4)
+    pin1, pin4 = rate("lci_psr_cq_pin_i", 1), rate("lci_psr_cq_pin_i", 4)
+    assert mt4 > 2.0 * mt1
+    assert mt4 > pin1
+    assert pin4 < 1.3 * pin1

@@ -311,11 +311,16 @@ def test_runtime_metrics_snapshot(traced_mpi):
 # ---------------------------------------------------------------------------
 def test_trace_smoke_figure(tmp_path):
     from repro.bench.figures import trace_smoke
+    from repro.bench.validation import validate
     out = tmp_path / "trace.json"
     fig = trace_smoke(quick=True, trace_out=str(out), show_metrics=True)
-    assert fig.meta["dominant"]["mpi_i"] == "progress_lock_wait"
-    assert fig.meta["dominant"]["lci_psr_cq_pin_i"] == "progress_poll"
+    checks = validate(fig)
+    assert checks and all(c.passed for c in checks), \
+        [c.render() for c in checks]
     assert fig.meta["trace_errors"] == []
     doc = json.loads(out.read_text())
     assert validate_chrome_trace(doc) == []
+    runs = doc["otherData"]["runs"]
+    assert [r["label"] for r in runs] == ["mpi_i", "lci_psr_cq_pin_i"]
+    assert all(r["dropped"] == 0 for r in runs)
     assert "progress_lock_wait" in fig.render(plot=False)

@@ -30,20 +30,6 @@ def test_stream_is_cached():
     assert pool.stream("s") is pool.stream("s")
 
 
-def test_jitter_positive_and_centered():
-    pool = RngPool(7)
-    draws = [pool.jitter("j", 100.0, cv=0.1) for _ in range(200)]
-    assert all(d > 0 for d in draws)
-    mean = sum(draws) / len(draws)
-    assert 90.0 < mean < 110.0
-
-
-def test_jitter_degenerate_inputs():
-    pool = RngPool(7)
-    assert pool.jitter("j", 0.0) == 0.0
-    assert pool.jitter("j", 50.0, cv=0.0) == 50.0
-
-
 # ---------------------------------------------------------------------------
 # StatSet / TimeSeries
 # ---------------------------------------------------------------------------
@@ -120,6 +106,16 @@ def test_cli_rejects_tune_flags_outside_tune(flag, capsys):
     assert f"{flag[0]} only applies to tune" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--repeats", "0"], ["--repeats", "-1"],
+                                  ["--jobs", "0"]])
+def test_cli_rejects_counts_below_one(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["fig1"] + flag)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro-fig: error: {flag[0]} must be >= 1" in err
+
+
 def test_cli_help_lists_figures(capsys):
     with pytest.raises(SystemExit):
         cli_main(["--help"])
@@ -135,3 +131,7 @@ def test_cli_validate_flag_runs_shape_checks(capsys):
     assert rc in (0, 1)
     # our calibrated defaults must actually pass
     assert rc == 0, out
+    # the three latency anchors of the cost constants live on fig7
+    for claim in ("small_latency_band", "mpi_i_small_latency_close",
+                  "mpi_i_large_latency_worse"):
+        assert f"[PASS] {claim}: " in out

@@ -434,9 +434,7 @@ def test_serve_sweep_checks_catch_a_missing_knee():
     fig = FigureResult("serve_sweep", "synthetic", [], meta={
         "loads": [25.0, 400.0],
         "knees": {"lci_psr_cq_pin_i": 400.0, "mpi": 0.0}})
-    by_name = {getattr(c, "__name__", ""): c
-               for c in checks_for("serve_sweep")}
-    knee_check = [c for c in checks_for("serve_sweep")][0]
-    out = knee_check(fig)
-    assert out.name == "knee_located_per_family" and not out.passed
-    assert "lci_psr_cq_pin_i" in out.detail and "mpi" in out.detail
+    knee_check = checks_for("serve_sweep")[0]
+    passed, detail = knee_check.test(fig)
+    assert knee_check.id == "knee_located_per_family" and not passed
+    assert "lci_psr_cq_pin_i" in detail and "mpi" in detail

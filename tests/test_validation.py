@@ -1,26 +1,27 @@
-"""Tests for the shape-check validation engine."""
+"""Tests for the claims table and its validation engine."""
 
-import pytest
-
-from repro.bench import CheckResult, FigureResult, Series, checks_for, validate
+from repro.bench import (FIGURES, CheckResult, FigureResult, Series,
+                         checks_for, validate)
 from repro.bench.validation import CHECKS
 
 
-def fig_with(figure, data):
+def fig_with(figure, data, xs=None):
     series = []
     for label, ys in data.items():
         s = Series(label)
         for i, y in enumerate(ys):
-            s.add(float(i + 1), y)
+            s.add(float(xs[i] if xs else i + 1), y)
         series.append(s)
     return FigureResult(figure, "t", series)
 
 
 def test_every_registered_figure_has_checks():
-    for name in ("fig1", "fig2", "fig4", "fig5", "fig7", "fig8", "fig9",
-                 "fig10", "fig11"):
-        assert checks_for(name), name
-    assert checks_for("fig3") == []   # covered via fig1/fig2 targets
+    assert set(CHECKS) <= set(FIGURES)
+    for name in FIGURES:
+        ids = [c.id for c in checks_for(name)]
+        assert len(ids) == len(set(ids)), name
+        # fault_smoke reports counters under arbitrary user fault plans
+        assert bool(ids) == (name != "fault_smoke"), name
 
 
 def test_fig1_checks_pass_on_paper_like_shape():
@@ -62,20 +63,22 @@ def test_fig4_decline_check():
 
 
 def test_fig7_latency_ordering_check():
+    sizes = [8, 65536]
     good = fig_with("fig7", {
-        "lci_psr_cq_pin_i": [4, 10],
-        "lci_psr_cq_pin": [6, 12],
-        "mpi": [7, 15],
-        "mpi_i": [5, 13],
-    })
+        "lci_psr_cq_pin_i": [4, 14],
+        "lci_psr_cq_pin": [6, 16],
+        "mpi": [7, 27],
+        "mpi_i": [5, 24],
+    }, sizes)
     assert all(c.passed for c in validate(good))
     bad = fig_with("fig7", {
-        "lci_psr_cq_pin_i": [8, 20],   # slower than mpi_i -> fail
-        "lci_psr_cq_pin": [6, 12],
-        "mpi": [7, 15],
-        "mpi_i": [5, 13],
-    })
-    assert any(not c.passed for c in validate(bad))
+        "lci_psr_cq_pin_i": [8, 26],   # slower than mpi_i -> fail
+        "lci_psr_cq_pin": [6, 16],
+        "mpi": [7, 27],
+        "mpi_i": [5, 24],
+    }, sizes)
+    failed = {c.name for c in validate(bad) if not c.passed}
+    assert "lci_always_fastest" in failed
 
 
 def test_fig10_collapse_check():
@@ -90,9 +93,14 @@ def test_fig10_collapse_check():
 def test_missing_series_reported_not_raised():
     r = fig_with("fig1", {"lci_psr_cq_pin_i": [1, 2]})
     results = validate(r)
-    assert results
-    assert all(not c.passed for c in results)
-    assert any("missing series" in c.detail for c in results)
+    assert [c.name for c in results] == [c.id for c in CHECKS["fig1"]]
+    missing = {c.name for c in results if "missing data" in c.detail}
+    # each claim that needs another series fails under its own id
+    assert missing == {"lci_best_beats_mpi", "lci_best_beats_mpi_i",
+                       "immediate_beats_aggregated_lci",
+                       "aggregation_helps_mpi", "no_immediate_band_8b",
+                       "lci_over_mpi_i_8b"}
+    assert not any(c.passed for c in results if c.name in missing)
 
 
 def test_checkresult_render():
